@@ -312,6 +312,243 @@ mod tests {
         }
     }
 
+    /// One row per live policy for the scaffolding every engine shares.
+    /// `typed_lanes`: flow control is per type (a full lane of one type
+    /// leaves the others admitting). `sheds`: deadline shedding applies
+    /// (d-FCFS commits a request to its worker at arrival and never
+    /// sheds).
+    struct Row {
+        policy: Policy,
+        name: &'static str,
+        typed_lanes: bool,
+        sheds: bool,
+    }
+
+    const ROWS: [Row; 5] = [
+        Row {
+            policy: Policy::Darc,
+            name: "DARC",
+            typed_lanes: true,
+            sheds: true,
+        },
+        Row {
+            policy: Policy::CFcfs,
+            name: "c-FCFS",
+            typed_lanes: false,
+            sheds: true,
+        },
+        Row {
+            policy: Policy::Sjf,
+            name: "SJF",
+            typed_lanes: true,
+            sheds: true,
+        },
+        Row {
+            policy: Policy::FixedPriority,
+            name: "FP",
+            typed_lanes: true,
+            sheds: true,
+        },
+        Row {
+            policy: Policy::DFcfs,
+            name: "d-FCFS",
+            typed_lanes: false,
+            sheds: false,
+        },
+    ];
+
+    fn micros(n: u64) -> Nanos {
+        Nanos::from_micros(n)
+    }
+
+    fn row_engine(row: &Row, cfg: EngineConfig) -> Box<dyn ScheduleEngine<u32>> {
+        build_engine(&row.policy, cfg, 2, &[Some(micros(1)), Some(micros(100))])
+    }
+
+    #[test]
+    fn every_policy_drains_and_counts_everything() {
+        for row in &ROWS {
+            let mut eng = row_engine(row, EngineConfig::darc(2));
+            eng.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            eng.enqueue(TypeId::new(1), 2, micros(0)).unwrap();
+            eng.enqueue(TypeId::UNKNOWN, 3, micros(0)).unwrap();
+            let mut drained = vec![(TypeId::new(9), 99)];
+            eng.drain_all(micros(5), &mut drained);
+            assert_eq!(
+                drained.len(),
+                4,
+                "{}: appends to the caller's buffer",
+                row.name
+            );
+            for want in [
+                (TypeId::new(0), 1),
+                (TypeId::new(1), 2),
+                (TypeId::UNKNOWN, 3),
+            ] {
+                assert!(drained.contains(&want), "{}: {want:?} drained", row.name);
+            }
+            assert_eq!(eng.total_pending(), 0, "{}", row.name);
+            assert_eq!(eng.pending(TypeId::new(1)), 0, "{}", row.name);
+            assert_eq!(eng.report().expired, 3, "{}", row.name);
+            assert_eq!(eng.total_drops(), 0, "{}: shedding is not a drop", row.name);
+            assert!(eng.quiescent(), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn every_policy_reports_its_counters() {
+        for row in &ROWS {
+            let mut eng = row_engine(row, EngineConfig::darc(4));
+            let boot_updates = eng.report().updates;
+            eng.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            let d = eng.poll(micros(0)).unwrap();
+            assert_eq!((d.ty, d.req), (TypeId::new(0), 1), "{}", row.name);
+            eng.complete(d.worker, micros(1), micros(1));
+            let r = eng.report();
+            assert_eq!(r.policy, row.name);
+            assert_eq!(r.policy, eng.policy_name());
+            assert_eq!((r.quarantines, r.releases, r.expired), (0, 0, 0));
+            assert_eq!(r.guaranteed.len(), 2, "{}", row.name);
+            assert_eq!(r.updates, boot_updates, "{}", row.name);
+            if row.name == "DARC" {
+                // Hinted boot installs once: 1 short core, 3 long ones.
+                assert_eq!((r.updates, r.guaranteed), (1, vec![1, 3]));
+            } else {
+                assert_eq!((r.updates, r.guaranteed), (0, vec![0, 0]), "{}", row.name);
+            }
+        }
+    }
+
+    #[test]
+    fn every_policy_quarantines_a_stalled_worker_and_releases_it() {
+        for row in &ROWS {
+            let mut cfg = EngineConfig::darc(2);
+            cfg.overload.stall_factor = Some(5.0);
+            cfg.overload.min_stall = micros(1);
+            let mut eng = row_engine(row, cfg);
+            eng.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            let d = eng.poll(micros(0)).unwrap();
+            assert!(
+                !eng.quiescent(),
+                "{}: a busy pool is not quiescent",
+                row.name
+            );
+            // 4 µs in, the request is under the 5 × 1 µs threshold.
+            eng.check_health(micros(4));
+            assert!(!eng.is_quarantined(d.worker), "{}", row.name);
+            // 6 µs in, it is past it.
+            eng.check_health(micros(6));
+            assert!(eng.is_quarantined(d.worker), "{}", row.name);
+            assert!(
+                eng.quiescent(),
+                "{}: shutdown must not wait on it",
+                row.name
+            );
+            // Re-checking never double-counts, and the worker stays out
+            // of the free pool.
+            eng.check_health(micros(7));
+            assert_eq!(eng.report().quarantines, 1, "{}", row.name);
+            assert_eq!(eng.free_workers(), 1, "{}", row.name);
+            // Its late completion releases it.
+            eng.complete(d.worker, micros(8), micros(8));
+            assert!(!eng.is_quarantined(d.worker), "{}", row.name);
+            assert_eq!(eng.report().releases, 1, "{}", row.name);
+            assert_eq!(eng.free_workers(), 2, "{}", row.name);
+            assert!(eng.quiescent(), "{}", row.name);
+            // Off by default: a plain engine never quarantines.
+            let mut plain = row_engine(row, EngineConfig::darc(2));
+            plain.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            let d = plain.poll(micros(0)).unwrap();
+            plain.check_health(Nanos::from_secs(100));
+            assert!(!plain.is_quarantined(d.worker), "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn every_policy_accounts_flow_control_drops_per_type() {
+        for row in &ROWS {
+            let mut cfg = EngineConfig::darc(1);
+            cfg.queue_capacity = 2;
+            let mut eng = row_engine(row, cfg);
+            for i in 0..5 {
+                let rejected = eng.enqueue(TypeId::new(1), i, micros(0));
+                assert_eq!(
+                    rejected,
+                    if i < 2 { Ok(()) } else { Err(i) },
+                    "{}",
+                    row.name
+                );
+            }
+            assert_eq!(eng.drops(TypeId::new(1)), 3, "{}", row.name);
+            assert_eq!(eng.pending(TypeId::new(1)), 2, "{}", row.name);
+            assert_eq!(eng.total_pending(), 2, "{}", row.name);
+            // Only typed lanes keep admitting the other type.
+            let other = eng.enqueue(TypeId::new(0), 9, micros(0));
+            assert_eq!(other.is_ok(), row.typed_lanes, "{}", row.name);
+            assert_eq!(
+                eng.drops(TypeId::new(0)),
+                u64::from(!row.typed_lanes),
+                "{}",
+                row.name
+            );
+            assert_eq!(
+                eng.total_drops(),
+                3 + u64::from(!row.typed_lanes),
+                "{}",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn every_policy_treats_an_out_of_range_type_as_unknown() {
+        for row in &ROWS {
+            let mut eng = row_engine(row, EngineConfig::darc(2));
+            eng.enqueue(TypeId::new(17), 5, Nanos::ZERO).unwrap();
+            assert_eq!(eng.pending(TypeId::UNKNOWN), 1, "{}", row.name);
+            assert_eq!(eng.total_pending(), 1, "{}", row.name);
+            assert_eq!(eng.poll(Nanos::ZERO).unwrap().req, 5, "{}", row.name);
+        }
+    }
+
+    #[test]
+    fn every_shedding_policy_expires_stale_heads_only() {
+        for row in &ROWS {
+            let mut cfg = EngineConfig::darc(1);
+            cfg.overload.deadline_slowdown = Some(10.0);
+            let mut eng = row_engine(row, cfg);
+            // Occupy the lone worker so the backlog builds.
+            eng.enqueue(TypeId::new(0), 0, micros(0)).unwrap();
+            let d = eng.poll(micros(0)).unwrap();
+            eng.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            eng.enqueue(TypeId::new(0), 2, micros(5)).unwrap();
+            eng.enqueue(TypeId::new(1), 3, micros(0)).unwrap();
+            // Type 0's deadline is 10 × 1 µs: at t = 11 µs its head has
+            // waited 11 µs (expired) and the next entry 6 µs (kept); type
+            // 1's 1 ms deadline is nowhere near.
+            eng.expire_heads(micros(11));
+            let expired = eng.take_expired();
+            assert_eq!(
+                expired,
+                row.sheds.then_some((TypeId::new(0), 1)),
+                "{}",
+                row.name
+            );
+            assert_eq!(eng.take_expired(), None, "{}", row.name);
+            let shed = usize::from(row.sheds);
+            assert_eq!(eng.report().expired, shed as u64, "{}", row.name);
+            assert_eq!(eng.pending(TypeId::new(0)), 2 - shed, "{}", row.name);
+            assert_eq!(eng.pending(TypeId::new(1)), 1, "{}", row.name);
+            eng.complete(d.worker, micros(11), micros(11));
+            // Off by default: a plain engine never expires anything.
+            let mut plain = row_engine(row, EngineConfig::darc(1));
+            plain.enqueue(TypeId::new(0), 1, micros(0)).unwrap();
+            plain.expire_heads(Nanos::from_secs(100));
+            assert_eq!(plain.take_expired(), None, "{}", row.name);
+            assert_eq!(plain.pending(TypeId::new(0)), 1, "{}", row.name);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "simulator-only")]
     fn time_sharing_cannot_build_a_live_engine() {

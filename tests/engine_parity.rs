@@ -8,8 +8,15 @@
 //! drive the engines through the [`ScheduleEngine`] trait with the same
 //! seeded arrival trace and compare the full `(worker, request)` dispatch
 //! sequences, not just aggregate counts.
+//!
+//! [`every_live_policy_replays_its_pinned_decisions`] additionally pins
+//! all six live policies to an FNV-1a hash of their full
+//! `(worker, request, kind)` sequence, captured before the engine family
+//! collapsed onto one core: any refactor of `dispatch/` that moves a
+//! single placement fails it.
 
 use persephone::prelude::*;
+use persephone::telemetry::DispatchKind;
 
 /// A deterministic arrival trace: `(type, request id, arrival time)`.
 /// SplitMix64 keeps it seed-stable across runs and platforms.
@@ -40,14 +47,14 @@ fn drive<E: ScheduleEngine<u64> + ?Sized>(
     engine: &mut E,
     trace: &[(TypeId, u64, Nanos)],
     service: impl Fn(TypeId) -> Nanos,
-) -> Vec<(usize, u64)> {
+) -> Vec<(usize, u64, DispatchKind)> {
     let mut decisions = Vec::new();
     let mut inflight: std::collections::VecDeque<(WorkerId, TypeId)> =
         std::collections::VecDeque::new();
     for (i, &(ty, id, at)) in trace.iter().enumerate() {
         engine.enqueue(ty, id, at).expect("unbounded queues");
         while let Some(d) = engine.poll(at) {
-            decisions.push((d.worker.index(), d.req));
+            decisions.push((d.worker.index(), d.req, d.kind));
             inflight.push_back((d.worker, d.ty));
         }
         // Retire the oldest in-flight request every other arrival so the
@@ -56,7 +63,7 @@ fn drive<E: ScheduleEngine<u64> + ?Sized>(
             if let Some((w, wty)) = inflight.pop_front() {
                 engine.complete(w, service(wty), at);
                 while let Some(d) = engine.poll(at) {
-                    decisions.push((d.worker.index(), d.req));
+                    decisions.push((d.worker.index(), d.req, d.kind));
                     inflight.push_back((d.worker, d.ty));
                 }
             }
@@ -67,7 +74,7 @@ fn drive<E: ScheduleEngine<u64> + ?Sized>(
     while let Some((w, wty)) = inflight.pop_front() {
         engine.complete(w, service(wty), end);
         while let Some(d) = engine.poll(end) {
-            decisions.push((d.worker.index(), d.req));
+            decisions.push((d.worker.index(), d.req, d.kind));
             inflight.push_back((d.worker, d.ty));
         }
     }
@@ -176,7 +183,10 @@ fn sjf_engine_matches_presplit_simulator_sjf() {
     let mut cfg = EngineConfig::darc(workers);
     cfg.profiler.min_samples = u64::MAX;
     let mut engine: SjfEngine<u64> = SjfEngine::new(cfg, 3, &hints);
-    let engine_decisions = drive(&mut engine, &arrivals, service);
+    let engine_decisions: Vec<(usize, u64)> = drive(&mut engine, &arrivals, service)
+        .into_iter()
+        .map(|(w, id, _)| (w, id))
+        .collect();
 
     // Replay the same drive schedule against the reference heap.
     let mut reference = ReferenceSjf::new(workers);
@@ -214,4 +224,109 @@ fn sjf_engine_matches_presplit_simulator_sjf() {
         engine_decisions, expected,
         "SjfEngine must replay the simulator's heap-based SJF"
     );
+}
+
+/// FNV-1a over the little-endian `(worker, request, kind)` triples.
+fn decision_hash(decisions: &[(usize, u64, DispatchKind)]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for &(worker, req, kind) in decisions {
+        eat(&(worker as u64).to_le_bytes());
+        eat(&req.to_le_bytes());
+        eat(&[match kind {
+            DispatchKind::Reserved => 0,
+            DispatchKind::Stolen => 1,
+            DispatchKind::Spillway => 2,
+            DispatchKind::Fcfs => 3,
+        }]);
+    }
+    h
+}
+
+/// All six live policies, driven over the c-FCFS parity trace through
+/// `build_engine`, reproduce the decision sequences captured at the
+/// commit before `dispatch/` collapsed onto one engine core.
+#[test]
+fn every_live_policy_replays_its_pinned_decisions() {
+    let hints = [Some(Nanos::from_micros(1)), Some(Nanos::from_micros(100))];
+    let service = |ty: TypeId| hints[ty.index()].unwrap();
+    let inverted = [hints[1], hints[0]];
+    let arrivals = trace(0xC0FFEE, 4_000, 2, 700);
+
+    // Dynamic DARC boots unhinted with a small window: it leaves the
+    // c-FCFS warm-up and re-reserves while the trace is still running.
+    let mut dynamic = EngineConfig::darc(6);
+    dynamic.profiler.min_samples = 200;
+    let cases: [(&str, Policy, EngineConfig, &[Option<Nanos>], u64); 6] = [
+        (
+            "DARC",
+            Policy::Darc,
+            dynamic,
+            &[None, None],
+            0x23f8_6794_fe8a_c5a5,
+        ),
+        (
+            "DARC-static",
+            Policy::DarcStatic { reserved_short: 2 },
+            EngineConfig::darc(6),
+            &hints,
+            0x7250_781b_e707_1faa,
+        ),
+        (
+            "c-FCFS",
+            Policy::CFcfs,
+            EngineConfig::darc(6),
+            &hints,
+            0x3501_6a0e_625d_c778,
+        ),
+        // Hints that contradict the measured service times: SJF re-sorts
+        // on profiled means, FP keeps the configured order.
+        (
+            "SJF",
+            Policy::Sjf,
+            EngineConfig::darc(6),
+            &inverted,
+            0x6d0a_85dd_a406_78a6,
+        ),
+        (
+            "FP",
+            Policy::FixedPriority,
+            EngineConfig::darc(6),
+            &inverted,
+            0xf0e9_1708_480e_98da,
+        ),
+        (
+            "d-FCFS",
+            Policy::DFcfs,
+            EngineConfig::darc(6),
+            &hints,
+            0x01cb_8d22_65bc_824b,
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, policy, cfg, engine_hints, pinned) in cases {
+        let mut engine = build_engine::<u64>(&policy, cfg, 2, engine_hints);
+        let decisions = drive(engine.as_mut(), &arrivals, service);
+        assert_eq!(decisions.len(), arrivals.len(), "{name}: one dispatch each");
+        let report = engine.report();
+        if name == "DARC" {
+            assert!(
+                report.updates >= 2,
+                "{name}: must leave warm-up and re-reserve, got {} installs",
+                report.updates
+            );
+            let kinds = |k| decisions.iter().filter(|d| d.2 == k).count();
+            assert!(kinds(DispatchKind::Fcfs) > 0, "{name}: warm-up decisions");
+            assert!(kinds(DispatchKind::Reserved) > 0, "{name}: reserved cores");
+        }
+        let hash = decision_hash(&decisions);
+        if hash != pinned {
+            moved.push(format!("{name}: {hash:#018x} (pinned {pinned:#018x})"));
+        }
+    }
+    assert!(moved.is_empty(), "decision sequences moved: {moved:#?}");
 }
