@@ -13,6 +13,7 @@
 //! Run: `cargo run --release -p persephone-bench --bin fig04_static_reservation`
 
 use persephone_bench::{times, BenchOpts, Comparison};
+use persephone_core::dispatch::ScheduleEngine;
 use persephone_sim::experiment::{run_point_with, SweepConfig};
 use persephone_sim::policies::cfcfs::CFcfs;
 use persephone_sim::policies::darc::DarcSim;

@@ -15,10 +15,12 @@
 //! * [`ScheduleEngine::report`] — the end-of-run counters every engine
 //!   can answer.
 //!
-//! [`super::DarcEngine`] is the paper's contribution; [`super::CfcfsEngine`],
-//! [`super::SjfEngine`], [`super::FixedPriorityEngine`], and
-//! [`super::DfcfsEngine`] are the baselines of Tables 1 and 5, now running
-//! on the same serving stack. The runtime's hot loop is generic over
+//! There is exactly one implementation: [`Engine<R, S>`], the shared
+//! [`EngineCore`] driven by a [`Select`] rule. [`super::DarcEngine`] (the
+//! paper's contribution) and the Table 1/5 baselines
+//! [`super::CfcfsEngine`], [`super::SjfEngine`],
+//! [`super::FixedPriorityEngine`] and [`super::DfcfsEngine`] are aliases
+//! of it that differ in `S` only. The runtime's hot loop is generic over
 //! `E: ScheduleEngine<Pending>` (monomorphized per policy); `Box<dyn
 //! ScheduleEngine<R>>` exists for configuration-time construction via
 //! [`super::build_engine`].
@@ -27,6 +29,9 @@ use std::sync::Arc;
 
 use persephone_telemetry::{DispatchKind, Telemetry};
 
+use super::core::{EngineCore, Select};
+use super::EngineConfig;
+use crate::profile::Profiler;
 use crate::time::Nanos;
 use crate::types::{TypeId, WorkerId};
 
@@ -159,4 +164,156 @@ pub trait ScheduleEngine<R>: Send {
 
     /// End-of-run counters (policy name, updates, quarantines, ...).
     fn report(&self) -> EngineReport;
+}
+
+/// The one scheduling engine: an [`EngineCore`] plus the [`Select`] rule
+/// `S` that decides which lane head goes to which worker.
+///
+/// `R` is the opaque request representation: a buffer pointer in the
+/// runtime, a small token in the simulator. Drive it through
+/// [`ScheduleEngine`].
+///
+/// # Examples
+///
+/// ```
+/// use persephone_core::dispatch::{DarcEngine, EngineConfig, ScheduleEngine};
+/// use persephone_core::time::Nanos;
+/// use persephone_core::types::TypeId;
+///
+/// // Two types, two workers, trivially small profiling window.
+/// let mut cfg = EngineConfig::darc(2);
+/// cfg.profiler.min_samples = 2;
+/// let mut eng: DarcEngine<u64> = DarcEngine::new(cfg, 2, &[None, None]);
+///
+/// let now = Nanos::from_micros(1);
+/// eng.enqueue(TypeId::new(0), 7, now).unwrap();
+/// let d = eng.poll(now).expect("a free worker exists");
+/// assert_eq!(d.req, 7);
+/// eng.complete(d.worker, Nanos::from_micros(1), now + Nanos::from_micros(1));
+/// ```
+#[derive(Clone, Debug)]
+pub struct Engine<R, S> {
+    pub(crate) core: EngineCore<R>,
+    pub(crate) select: S,
+}
+
+impl<R, S: Select> Engine<R, S> {
+    /// Creates an engine for `num_types` request types.
+    ///
+    /// `hints[i]` optionally seeds type `i`'s service-time estimate. What
+    /// a rule makes of the hints is its own business: DARC skips its
+    /// c-FCFS warm-up when every type is hinted, FP sorts its priority
+    /// order by them, SJF sorts unhinted types last until profiled.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.num_workers == 0` or `hints.len() != num_types`.
+    pub fn new(cfg: EngineConfig, num_types: usize, hints: &[Option<Nanos>]) -> Self {
+        let mut core = EngineCore::new(&cfg, num_types, hints, S::lanes(&cfg, num_types));
+        let select = S::build(cfg, hints, &mut core);
+        Engine { core, select }
+    }
+
+    /// The workload profiler (read-only view).
+    pub fn profiler(&self) -> &Profiler {
+        &self.core.profiler
+    }
+}
+
+impl<R: Send, S: Select> ScheduleEngine<R> for Engine<R, S> {
+    fn policy_name(&self) -> &'static str {
+        S::NAME
+    }
+
+    fn num_workers(&self) -> usize {
+        self.core.workers.len()
+    }
+
+    fn num_types(&self) -> usize {
+        self.core.num_types
+    }
+
+    fn set_telemetry(&mut self, telemetry: Arc<Telemetry>) {
+        self.core.telemetry = Some(telemetry);
+    }
+
+    fn telemetry(&self) -> Option<&Arc<Telemetry>> {
+        self.core.telemetry.as_ref()
+    }
+
+    #[inline]
+    fn enqueue(&mut self, ty: TypeId, req: R, now: Nanos) -> Result<(), R> {
+        let slot = self.core.slot(ty);
+        let lane = self.select.lane_of(slot, self.core.lanes.len());
+        self.core.admit(lane, slot, req, now)
+    }
+
+    #[inline]
+    fn poll(&mut self, now: Nanos) -> Option<Dispatch<R>> {
+        let pick = self.select.select(&self.core)?;
+        self.core.place(pick, now)
+    }
+
+    #[inline]
+    fn complete(&mut self, worker: WorkerId, service: Nanos, now: Nanos) {
+        self.core.finish(worker, service, now);
+        self.select.after_complete(&mut self.core, now);
+    }
+
+    fn expire_heads(&mut self, now: Nanos) {
+        self.core.expire(now);
+    }
+
+    fn take_expired(&mut self) -> Option<(TypeId, R)> {
+        self.core.expired_buf.pop_front()
+    }
+
+    fn check_health(&mut self, now: Nanos) {
+        self.core.health(now);
+    }
+
+    fn is_quarantined(&self, worker: WorkerId) -> bool {
+        self.core.workers.is_quarantined(worker.index())
+    }
+
+    fn drain_all(&mut self, now: Nanos, out: &mut Vec<(TypeId, R)>) {
+        self.core.drain(now, out);
+    }
+
+    fn quiescent(&self) -> bool {
+        self.core.workers.quiescent()
+    }
+
+    fn free_workers(&self) -> usize {
+        self.core.workers.free_count()
+    }
+
+    fn pending(&self, ty: TypeId) -> usize {
+        self.core.pending[self.core.slot(ty)]
+    }
+
+    fn total_pending(&self) -> usize {
+        self.core.pending.iter().sum()
+    }
+
+    fn drops(&self, ty: TypeId) -> u64 {
+        self.core.drops[self.core.slot(ty)]
+    }
+
+    fn total_drops(&self) -> u64 {
+        self.core.drops.iter().sum()
+    }
+
+    fn report(&self) -> EngineReport {
+        let mut report = EngineReport {
+            policy: S::NAME,
+            updates: 0,
+            quarantines: self.core.workers.quarantines(),
+            releases: self.core.workers.releases(),
+            expired: self.core.expired_total,
+            guaranteed: vec![0; self.core.num_types],
+        };
+        self.select.report(&mut report);
+        report
+    }
 }

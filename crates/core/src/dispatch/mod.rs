@@ -6,50 +6,65 @@
 //! engines are shared verbatim by the discrete-event simulator and the
 //! threaded runtime.
 //!
+//! The paper's scheduler is typed queues plus a selection rule, and the
+//! baselines differ from DARC in the rule only. The code says the same:
+//! one [`Engine<R, S>`] over one [`EngineCore`], and one small [`Select`]
+//! impl per policy.
+//!
 //! ## Module split
 //!
 //! * [`engine`] — the [`ScheduleEngine`] trait, [`Dispatch`] decisions,
-//!   and the policy-agnostic [`EngineReport`].
-//! * [`darc`] — [`DarcEngine`], the paper's contribution: typed queues,
-//!   c-FCFS warm-up, profiled reservations, cycle stealing, spillway.
-//! * [`cfcfs`] — [`CfcfsEngine`], centralized FCFS over one global queue.
-//! * [`sjf`] — [`SjfEngine`], non-preemptive shortest-job-first by
-//!   profiled type service time.
-//! * [`fixed_priority`] — [`FixedPriorityEngine`], strict priority by
-//!   hinted type service time, work conserving.
-//! * [`dfcfs`] — [`DfcfsEngine`], decentralized FCFS with RSS-style
-//!   random steering onto per-worker queues.
+//!   the policy-agnostic [`EngineReport`], and [`Engine`], the trait's
+//!   only implementation.
+//! * [`core`] — [`EngineCore`] (queue lanes, `WorkerTable`, profiler,
+//!   overload knobs, counters, telemetry hooks and the admit / place /
+//!   finish / expire / health / drain bodies) and the [`Select`] trait.
+//! * [`darc`] — [`Darc`], the paper's contribution: c-FCFS warm-up,
+//!   profiled reservations, cycle stealing, spillway.
+//! * [`baselines`] — [`Cfcfs`], [`Sjf`], [`FixedPriority`], [`Dfcfs`].
 //!
-//! [`build_engine`] maps a [`Policy`](crate::policy::Policy) onto a boxed
-//! engine; the runtime's hot loop stays generic (monomorphized) over the
-//! concrete engine type.
+//! [`DarcEngine`], [`CfcfsEngine`], [`SjfEngine`],
+//! [`FixedPriorityEngine`] and [`DfcfsEngine`] name the five
+//! instantiations. [`build_engine`] maps a
+//! [`Policy`](crate::policy::Policy) onto a boxed engine; the runtime's
+//! hot loop stays generic (monomorphized) over the concrete engine type.
 //!
 //! The time-sharing policy of Table 1 is deliberately absent: it requires
 //! preempting a running request, which the non-preemptive threaded
 //! runtime cannot do. It remains simulator-only (`persephone-sim`'s `ts`
 //! module).
 
-mod common;
+pub mod baselines;
+pub mod core;
+pub mod darc;
 pub mod engine;
 
-pub mod cfcfs;
-pub mod darc;
-pub mod dfcfs;
-pub mod fixed_priority;
-pub mod sjf;
-
-pub use cfcfs::CfcfsEngine;
-pub use darc::DarcEngine;
-pub use dfcfs::DfcfsEngine;
-pub use engine::{Dispatch, EngineReport, ScheduleEngine};
-pub use fixed_priority::FixedPriorityEngine;
-pub use sjf::SjfEngine;
+pub use self::core::{EngineCore, Pick, Select};
+pub use baselines::{Cfcfs, Dfcfs, FixedPriority, Sjf};
+pub use darc::Darc;
+pub use engine::{Dispatch, Engine, EngineReport, ScheduleEngine};
 
 use crate::policy::Policy;
 use crate::profile::ProfilerConfig;
 use crate::reserve::Reservation;
 use crate::time::Nanos;
 use crate::types::TypeId;
+
+/// The paper's engine: [`Engine`] under the [`Darc`] rule. Its DARC-only
+/// accessors (`reservation`, `updates`, `in_warmup`, `guaranteed_workers`,
+/// `queue_capacity_of`, `resize`, `force_update`) live in [`darc`].
+pub type DarcEngine<R> = Engine<R, Darc>;
+/// Centralized FCFS over one global queue: [`Engine`] under [`Cfcfs`].
+pub type CfcfsEngine<R> = Engine<R, Cfcfs>;
+/// Shortest-job-first over profiled type service times: [`Engine`] under
+/// [`Sjf`].
+pub type SjfEngine<R> = Engine<R, Sjf>;
+/// Strict fixed priority over hinted type service times: [`Engine`] under
+/// [`FixedPriority`].
+pub type FixedPriorityEngine<R> = Engine<R, FixedPriority>;
+/// Decentralized FCFS with random per-worker steering: [`Engine`] under
+/// [`Dfcfs`].
+pub type DfcfsEngine<R> = Engine<R, Dfcfs>;
 
 /// How a [`DarcEngine`] schedules.
 #[derive(Clone, Debug)]
@@ -174,7 +189,7 @@ impl ReserveTuning {
 /// Engine construction parameters, shared by every engine.
 ///
 /// DARC-specific fields (`reserve`, `mode`) are ignored by the baseline
-/// engines; the profiler, queue capacity, and overload knobs apply to all.
+/// rules; the profiler, queue capacity, and overload knobs apply to all.
 #[derive(Clone, Debug)]
 pub struct EngineConfig {
     /// Number of application workers — the single source of truth; the
@@ -206,31 +221,33 @@ impl EngineConfig {
     }
 }
 
-/// Builds the engine for `policy` as a boxed trait object.
+/// Resolves `policy` into the configuration its live engine is built
+/// from — the one place that knows what a policy asks of [`EngineConfig`].
 ///
-/// This is the configuration-time entry point (`Policy` → engine); hot
-/// loops that want monomorphized dispatch construct the concrete engine
-/// type directly, as `ServerBuilder::policy` does in the runtime.
+/// [`Policy::DarcStatic`] becomes [`EngineMode::Static`] over the §5.3
+/// two-class reservation: `reserved_short` of `cfg.num_workers` cores for
+/// the type with the smallest entry in `service_hints` (lowest index on
+/// ties). Every other live policy takes `cfg` as it is; [`Policy::Darc`]
+/// honours whatever mode the caller configured.
 ///
-/// `cfg.mode` is overridden to match the policy where relevant:
-/// [`Policy::DarcStatic`] builds the §5.3 two-class reservation from the
-/// hints; [`Policy::Darc`] honours whatever mode the caller configured.
+/// `service_hints` only ranks the types here. The caller decides which
+/// hints the engine itself is seeded with (the simulator ranks by the
+/// workload's declared means and still boots the profiler unhinted).
 ///
 /// # Panics
 ///
 /// Panics for [`Policy::TimeSharing`] (preemptive, therefore sim-only —
 /// see the policy matrix in DESIGN.md), and for [`Policy::DarcStatic`]
 /// without any service-time hint (the shortest type is undefined).
-pub fn build_engine<R: Send + 'static>(
+pub fn live_engine_config(
     policy: &Policy,
     cfg: EngineConfig,
     num_types: usize,
-    hints: &[Option<Nanos>],
-) -> Box<dyn ScheduleEngine<R>> {
+    service_hints: &[Option<Nanos>],
+) -> EngineConfig {
     match policy {
-        Policy::Darc => Box::new(DarcEngine::new(cfg, num_types, hints)),
         Policy::DarcStatic { reserved_short } => {
-            let short = hints
+            let short = service_hints
                 .iter()
                 .enumerate()
                 .filter_map(|(i, h)| h.map(|n| (n, i)))
@@ -243,21 +260,46 @@ pub fn build_engine<R: Send + 'static>(
                 TypeId::new(short as u32),
                 *reserved_short,
             );
-            let cfg = EngineConfig {
+            EngineConfig {
                 mode: EngineMode::Static(res),
                 ..cfg
-            };
+            }
+        }
+        Policy::TimeSharing(_) => panic!(
+            "Policy::TimeSharing is preemptive and therefore simulator-only; \
+             the threaded runtime runs requests to completion (see the \
+             policy matrix in DESIGN.md)"
+        ),
+        _ => cfg,
+    }
+}
+
+/// Builds the engine for `policy` as a boxed trait object.
+///
+/// This is the configuration-time entry point (`Policy` → engine); hot
+/// loops that want monomorphized dispatch construct the concrete engine
+/// type directly, as `ServerBuilder::policy` does in the runtime. `cfg`
+/// passes through [`live_engine_config`] first.
+///
+/// # Panics
+///
+/// As [`live_engine_config`].
+pub fn build_engine<R: Send + 'static>(
+    policy: &Policy,
+    cfg: EngineConfig,
+    num_types: usize,
+    hints: &[Option<Nanos>],
+) -> Box<dyn ScheduleEngine<R>> {
+    let cfg = live_engine_config(policy, cfg, num_types, hints);
+    match policy {
+        Policy::Darc | Policy::DarcStatic { .. } => {
             Box::new(DarcEngine::new(cfg, num_types, hints))
         }
         Policy::CFcfs => Box::new(CfcfsEngine::new(cfg, num_types, hints)),
         Policy::Sjf => Box::new(SjfEngine::new(cfg, num_types, hints)),
         Policy::FixedPriority => Box::new(FixedPriorityEngine::new(cfg, num_types, hints)),
         Policy::DFcfs => Box::new(DfcfsEngine::new(cfg, num_types, hints)),
-        Policy::TimeSharing(_) => panic!(
-            "Policy::TimeSharing is preemptive and therefore simulator-only; \
-             the threaded runtime runs requests to completion (see the \
-             policy matrix in DESIGN.md)"
-        ),
+        Policy::TimeSharing(_) => unreachable!("rejected by live_engine_config"),
     }
 }
 
@@ -547,6 +589,37 @@ mod tests {
             assert_eq!(plain.take_expired(), None, "{}", row.name);
             assert_eq!(plain.pending(TypeId::new(0)), 1, "{}", row.name);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "needs service-time hints")]
+    fn darc_static_without_hints_has_no_shortest_type() {
+        let _ = live_engine_config(
+            &Policy::DarcStatic { reserved_short: 1 },
+            EngineConfig::darc(4),
+            2,
+            &[None, None],
+        );
+    }
+
+    #[test]
+    fn darc_static_reserves_for_the_shortest_hinted_type() {
+        let hints = [
+            Some(Nanos::from_micros(100)),
+            None,
+            Some(Nanos::from_micros(1)),
+        ];
+        let policy = Policy::DarcStatic { reserved_short: 2 };
+        let cfg = live_engine_config(&policy, EngineConfig::darc(6), 3, &hints);
+        let EngineMode::Static(res) = cfg.mode else {
+            panic!("DarcStatic must resolve to a static reservation");
+        };
+        let short = res.group_of(TypeId::new(2)).unwrap();
+        assert_eq!(res.groups[short].reserved.len(), 2);
+        assert_eq!(res.num_workers, 6);
+        // Every other live policy keeps the caller's mode.
+        let cfg = live_engine_config(&Policy::Sjf, EngineConfig::darc(6), 3, &hints);
+        assert!(matches!(cfg.mode, EngineMode::Dynamic));
     }
 
     #[test]

@@ -12,15 +12,17 @@
 //! for longer types (never the reverse), and keeps a *spillway* core so no
 //! type is ever denied service.
 //!
-//! The crate is substrate-agnostic: the same scheduling engines drive
+//! The crate is substrate-agnostic: the same scheduling engine drives
 //! both the discrete-event simulator (`persephone-sim`) and the threaded
 //! runtime (`persephone-runtime`), behind one
-//! [`dispatch::ScheduleEngine`] trait. [`dispatch::DarcEngine`] is the
-//! paper's contribution; [`dispatch::CfcfsEngine`],
-//! [`dispatch::SjfEngine`], [`dispatch::FixedPriorityEngine`], and
-//! [`dispatch::DfcfsEngine`] are the baselines it is evaluated against.
-//! [`policy::Policy`] names them all, and [`dispatch::build_engine`] maps
-//! a policy onto its engine.
+//! [`dispatch::ScheduleEngine`] trait. There is one implementation,
+//! [`dispatch::Engine`], parameterized by a [`dispatch::Select`] rule:
+//! [`dispatch::DarcEngine`] is the paper's contribution;
+//! [`dispatch::CfcfsEngine`], [`dispatch::SjfEngine`],
+//! [`dispatch::FixedPriorityEngine`], and [`dispatch::DfcfsEngine`] are
+//! the baselines it is evaluated against, and differ from it in the rule
+//! only. [`policy::Policy`] names them all, and
+//! [`dispatch::build_engine`] maps a policy onto its engine.
 //!
 //! ## Module map
 //!
@@ -36,16 +38,16 @@
 //! * [`profile`] — profiling windows, Eq. 1 demand vector (paper §3).
 //! * [`reserve`] — worker reservation, grouping, spillway (Algorithm 2).
 //! * [`queue`] — bounded typed queues with drop-based flow control.
-//! * [`dispatch`] — the pluggable scheduling engines: the
-//!   [`dispatch::ScheduleEngine`] trait, DARC (Algorithm 1), and the
-//!   c-FCFS / SJF / FP / d-FCFS baselines.
+//! * [`dispatch`] — the [`dispatch::ScheduleEngine`] trait, the shared
+//!   [`dispatch::EngineCore`], and the five [`dispatch::Select`] rules:
+//!   DARC (Algorithm 1) and the c-FCFS / SJF / FP / d-FCFS baselines.
 //! * [`policy`] — the policy taxonomy of the paper's Tables 1 and 5, and
 //!   the configuration surface engines are built from.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use persephone_core::dispatch::{DarcEngine, EngineConfig};
+//! use persephone_core::dispatch::{DarcEngine, EngineConfig, ScheduleEngine};
 //! use persephone_core::time::Nanos;
 //! use persephone_core::types::TypeId;
 //!
@@ -81,9 +83,9 @@ pub mod types;
 
 pub use classifier::Classifier;
 pub use dispatch::{
-    build_engine, CfcfsEngine, DarcEngine, DfcfsEngine, Dispatch, EngineConfig, EngineMode,
-    EngineReport, FixedPriorityEngine, OverloadConfig, ReserveTuning, ScheduleEngine, SjfEngine,
-    SloQueueBounds,
+    build_engine, CfcfsEngine, DarcEngine, DfcfsEngine, Dispatch, Engine, EngineConfig, EngineMode,
+    EngineReport, FixedPriorityEngine, OverloadConfig, ReserveTuning, ScheduleEngine, Select,
+    SjfEngine, SloQueueBounds,
 };
 pub use policy::Policy;
 pub use profile::{Profiler, ProfilerConfig, TypeStat};

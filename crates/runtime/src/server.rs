@@ -21,13 +21,11 @@ use std::time::Duration;
 
 use persephone_core::classifier::Classifier;
 use persephone_core::dispatch::{
-    CfcfsEngine, DarcEngine, DfcfsEngine, EngineConfig, EngineMode, FixedPriorityEngine,
-    ScheduleEngine, SjfEngine,
+    live_engine_config, Cfcfs, Darc, Dfcfs, Engine, EngineConfig, FixedPriority, ScheduleEngine,
+    Select, Sjf,
 };
 use persephone_core::policy::Policy;
-use persephone_core::reserve::Reservation;
 use persephone_core::time::Nanos;
-use persephone_core::types::TypeId;
 use persephone_net::nic::{self, ClientPort, ServerPort, Steering};
 use persephone_net::spsc;
 use persephone_net::udp::{self, UdpConfig};
@@ -194,13 +192,13 @@ impl ServerBuilder {
     /// Selects the scheduling policy all dispatcher shards run (default
     /// [`Policy::Darc`]).
     ///
-    /// Every live policy maps onto a concrete [`ScheduleEngine`]:
-    /// [`Policy::Darc`] and [`Policy::DarcStatic`] run [`DarcEngine`],
-    /// [`Policy::CFcfs`] runs [`CfcfsEngine`], [`Policy::Sjf`] runs
-    /// [`SjfEngine`], [`Policy::FixedPriority`] runs
-    /// [`FixedPriorityEngine`], and [`Policy::DFcfs`] runs
-    /// [`DfcfsEngine`]. The dispatcher loop is monomorphized per engine
-    /// type, so policy selection costs nothing per packet.
+    /// Every live policy is the one [`Engine`] under its own [`Select`]
+    /// rule: [`Policy::Darc`] and [`Policy::DarcStatic`] run [`Darc`],
+    /// [`Policy::CFcfs`] runs [`Cfcfs`], [`Policy::Sjf`] runs [`Sjf`],
+    /// [`Policy::FixedPriority`] runs [`FixedPriority`], and
+    /// [`Policy::DFcfs`] runs [`Dfcfs`]. The dispatcher loop is
+    /// monomorphized per rule, so policy selection costs nothing per
+    /// packet.
     ///
     /// [`ServerBuilder::start`] panics for [`Policy::TimeSharing`]: it
     /// requires preempting a running request, which the
@@ -301,46 +299,22 @@ impl ServerBuilder {
 
     /// Spawns the server on an explicit, pre-built `port`.
     ///
-    /// Internal engine-selection step of [`ServerBuilder::start`] (which
+    /// Internal rule-selection step of [`ServerBuilder::start`] (which
     /// is the public entry point; `Transport::Port(port)` routes here).
     fn spawn_on(self, port: ServerPort) -> ServerHandle {
         let policy = self.policy.clone().unwrap_or(Policy::Darc);
         match policy {
-            Policy::Darc => self.spawn_with(port, DarcEngine::new),
-            Policy::DarcStatic { reserved_short } => {
-                self.spawn_with(port, move |cfg, nt, hints| {
-                    let short = hints
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, h)| h.map(|n| (n, i)))
-                        .min()
-                        .map(|(_, i)| i)
-                        .expect(
-                            "Policy::DarcStatic needs service-time hints to \
-                             find the shortest type",
-                        );
-                    let res = Reservation::two_class_static(
-                        nt,
-                        cfg.num_workers,
-                        TypeId::new(short as u32),
-                        reserved_short,
-                    );
-                    let cfg = EngineConfig {
-                        mode: EngineMode::Static(res),
-                        ..cfg
-                    };
-                    DarcEngine::new(cfg, nt, hints)
-                })
+            Policy::CFcfs => self.spawn_with::<Cfcfs>(port, &policy),
+            Policy::Sjf => self.spawn_with::<Sjf>(port, &policy),
+            Policy::FixedPriority => self.spawn_with::<FixedPriority>(port, &policy),
+            Policy::DFcfs => self.spawn_with::<Dfcfs>(port, &policy),
+            // Both DARC variants run the DARC rule. `live_engine_config`
+            // gives DarcStatic its reservation and rejects TimeSharing
+            // when the first shard's engine is built, before any thread
+            // is spawned.
+            Policy::Darc | Policy::DarcStatic { .. } | Policy::TimeSharing(_) => {
+                self.spawn_with::<Darc>(port, &policy)
             }
-            Policy::CFcfs => self.spawn_with(port, CfcfsEngine::new),
-            Policy::Sjf => self.spawn_with(port, SjfEngine::new),
-            Policy::FixedPriority => self.spawn_with(port, FixedPriorityEngine::new),
-            Policy::DFcfs => self.spawn_with(port, DfcfsEngine::new),
-            Policy::TimeSharing(_) => panic!(
-                "Policy::TimeSharing is preemptive and therefore simulator-only; \
-                 the threaded runtime runs requests to completion (see the \
-                 policy matrix in DESIGN.md)"
-            ),
         }
     }
 
@@ -387,17 +361,10 @@ impl ServerBuilder {
         }
     }
 
-    /// Spawns the server with `make(cfg, num_types, hints)` building each
-    /// shard's engine. Generic over the engine type so every policy's
+    /// Spawns the server with every shard running `policy` under the
+    /// selection rule `S`. Generic over the rule so every policy's
     /// dispatcher loop monomorphizes.
-    fn spawn_with<E>(
-        self,
-        port: ServerPort,
-        make: impl Fn(EngineConfig, usize, &[Option<Nanos>]) -> E,
-    ) -> ServerHandle
-    where
-        E: ScheduleEngine<Pending> + 'static,
-    {
+    fn spawn_with<S: Select + 'static>(self, port: ServerPort, policy: &Policy) -> ServerHandle {
         assert!(self.workers > 0, "server needs at least one worker");
         assert!(self.shards > 0, "server needs at least one shard");
         assert!(
@@ -452,7 +419,9 @@ impl ServerBuilder {
             let n_s = base + usize::from(s < rem);
             let mut engine_cfg = self.engine.clone();
             engine_cfg.num_workers = n_s;
-            let mut engine = make(engine_cfg, self.num_types, &self.hints);
+            let engine_cfg = live_engine_config(policy, engine_cfg, self.num_types, &self.hints);
+            let mut engine: Engine<Pending, S> =
+                Engine::new(engine_cfg, self.num_types, &self.hints);
             let telemetry = Arc::new(Telemetry::new(TelemetryConfig::new(self.num_types, n_s)));
             engine.set_telemetry(telemetry.clone());
             telemetries.push(telemetry.clone());

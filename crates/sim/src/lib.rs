@@ -27,14 +27,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dist;
 pub mod engine;
 pub mod experiment;
-pub mod hist;
 pub mod metrics;
 pub mod policies;
 pub mod report;
-pub mod rng;
 pub mod workload;
 
 pub use engine::{simulate, Core, Event, Req, ReqId, SimConfig, SimOutput, SimPolicy};

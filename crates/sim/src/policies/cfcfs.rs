@@ -9,7 +9,7 @@
 //! exact queueing and worker-selection code the threaded runtime runs
 //! under `ServerBuilder::policy(Policy::CFcfs)`.
 
-use persephone_core::dispatch::{CfcfsEngine, EngineConfig};
+use persephone_core::dispatch::{CfcfsEngine, EngineConfig, ScheduleEngine};
 
 use super::EngineAdapter;
 use crate::engine::{Core, Event, ReqId, SimPolicy};
@@ -45,7 +45,7 @@ impl CFcfs {
 
     /// Queued requests (test hook).
     pub fn backlog(&self) -> usize {
-        self.inner.engine().backlog()
+        self.inner.engine().total_pending()
     }
 }
 
@@ -113,8 +113,8 @@ mod tests {
     fn mm_c_sanity_against_erlang_c() {
         // M/M/8 at ρ = 0.7 with exponential 10 µs service: mean wait from
         // Erlang C ≈ P_wait/(c·µ−λ). Check the simulated mean sojourn.
-        use crate::dist::Dist;
         use crate::workload::TypeMix;
+        use persephone_core::dist::Dist;
         let wl = Workload::new(
             "mm8",
             vec![TypeMix::new(

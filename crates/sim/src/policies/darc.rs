@@ -1,20 +1,20 @@
 //! DARC under simulation — driving the *real* `persephone_core` engine.
 //!
-//! Unlike the other policy modules, this one contains almost no scheduling
-//! logic of its own: arrivals are classified and pushed into a
-//! [`DarcEngine`], and every dispatch decision the engine makes is
-//! executed on the simulated cores. The simulator therefore exercises the
-//! exact code a Perséphone deployment runs: typed queues, c-FCFS warm-up,
-//! profiling windows, reservation updates, cycle stealing, spillway
-//! routing, and flow control.
+//! Like the other live-policy modules, this one contains no scheduling
+//! logic of its own: it is the shared `EngineAdapter` over a
+//! [`DarcEngine`], plus a classifier hook and the reservation log. The
+//! simulator therefore exercises the exact code a Perséphone deployment
+//! runs: typed queues, c-FCFS warm-up, profiling windows, reservation
+//! updates, cycle stealing, spillway routing, and flow control.
 
-use persephone_core::dispatch::{DarcEngine, EngineConfig, EngineMode};
-use persephone_core::reserve::Reservation;
+use persephone_core::dispatch::{live_engine_config, DarcEngine, EngineConfig, ScheduleEngine};
+use persephone_core::policy::Policy;
+use persephone_core::rng::Rng;
 use persephone_core::time::Nanos;
-use persephone_core::types::{TypeId, WorkerId};
+use persephone_core::types::TypeId;
 
+use super::EngineAdapter;
 use crate::engine::{Core, Event, ReqId, SimPolicy};
-use crate::rng::Rng;
 use crate::workload::Workload;
 
 /// How arrivals are classified before entering the typed queues.
@@ -28,7 +28,7 @@ pub enum ClassifyMode {
 
 /// The DARC simulation policy.
 pub struct DarcSim {
-    engine: DarcEngine<ReqId>,
+    inner: EngineAdapter<DarcEngine<ReqId>>,
     classify: ClassifyMode,
     num_types: usize,
     last_updates: u64,
@@ -85,15 +85,14 @@ impl DarcSim {
     /// anywhere; all other types share the remaining cores.
     pub fn fixed(workload: &Workload, workers: usize, reserved_short: usize) -> Self {
         let n = workload.num_types();
-        let short = (0..n)
-            .min_by_key(|&i| workload.types[i].service.mean())
-            .expect("non-empty workload");
-        let res =
-            Reservation::two_class_static(n, workers, TypeId::new(short as u32), reserved_short);
-        let cfg = EngineConfig {
-            mode: EngineMode::Static(res),
-            ..EngineConfig::darc(workers)
-        };
+        // The shortest type is ranked by the workload's declared means;
+        // the engine itself still boots unhinted.
+        let cfg = live_engine_config(
+            &Policy::DarcStatic { reserved_short },
+            EngineConfig::darc(workers),
+            n,
+            &workload.hints(),
+        );
         DarcSim::from_config(
             cfg,
             vec![None; n],
@@ -139,7 +138,7 @@ impl DarcSim {
     ) -> Self {
         let last_updates = engine.updates();
         let mut s = DarcSim {
-            engine,
+            inner: EngineAdapter::new(engine),
             classify,
             num_types,
             last_updates,
@@ -156,12 +155,12 @@ impl DarcSim {
     /// ring a live runtime would. Attach *after* [`DarcSim::with_capacity`]
     /// (rebuilds discard the engine, and its telemetry with it).
     pub fn attach_telemetry(&mut self, telemetry: std::sync::Arc<persephone_telemetry::Telemetry>) {
-        self.engine.set_telemetry(telemetry);
+        self.inner.engine_mut().set_telemetry(telemetry);
     }
 
     /// Read access to the underlying engine (reservations, drops, waste).
     pub fn engine(&self) -> &DarcEngine<ReqId> {
-        &self.engine
+        self.inner.engine()
     }
 
     /// The reservation-change log: `(time, reserved cores per type)`.
@@ -171,15 +170,9 @@ impl DarcSim {
 
     fn log_reservation(&mut self, now: Nanos) {
         let counts: Vec<usize> = (0..self.num_types)
-            .map(|i| self.engine.guaranteed_workers(TypeId::new(i as u32)))
+            .map(|i| self.engine().guaranteed_workers(TypeId::new(i as u32)))
             .collect();
         self.reservation_log.push((now, counts));
-    }
-
-    fn drain(&mut self, core: &mut Core) {
-        while let Some(d) = self.engine.poll(core.now) {
-            core.run(d.worker.index(), d.req);
-        }
     }
 }
 
@@ -189,33 +182,17 @@ impl SimPolicy for DarcSim {
     }
 
     fn handle(&mut self, ev: Event, core: &mut Core) {
-        match ev {
-            Event::Arrival(id) => {
-                let ty = match &mut self.classify {
-                    ClassifyMode::Exact => core.req(id).ty,
-                    ClassifyMode::Random(rng) => {
-                        TypeId::new(rng.next_below(self.num_types as u64) as u32)
-                    }
-                };
-                if let Err(rejected) = self.engine.enqueue(ty, id, core.now) {
-                    core.drop_req(rejected);
-                }
-                self.drain(core);
-            }
-            Event::Completed {
-                worker, service, ..
-            } => {
-                self.engine
-                    .complete(WorkerId::new(worker as u32), service, core.now);
-                if self.engine.updates() != self.last_updates {
-                    self.last_updates = self.engine.updates();
-                    self.log_reservation(core.now);
-                }
-                self.drain(core);
-            }
-            Event::SliceExpired { .. } | Event::Timer(_) => {
-                unreachable!("DARC is non-preemptive")
-            }
+        let (classify, num_types) = (&mut self.classify, self.num_types);
+        self.inner
+            .handle_classified(ev, core, |core, id| match classify {
+                ClassifyMode::Exact => core.req(id).ty,
+                ClassifyMode::Random(rng) => TypeId::new(rng.next_below(num_types as u64) as u32),
+            });
+        // Only a completion can install a reservation, and the dispatches
+        // that follow it within the event cannot install another.
+        if self.engine().updates() != self.last_updates {
+            self.last_updates = self.engine().updates();
+            self.log_reservation(core.now);
         }
     }
 }

@@ -33,14 +33,14 @@ pub mod ts;
 
 use persephone_core::dispatch::ScheduleEngine;
 use persephone_core::policy::Policy;
-use persephone_core::types::WorkerId;
+use persephone_core::types::{TypeId, WorkerId};
 
 use crate::engine::{Core, Event, ReqId, SimPolicy};
 use crate::workload::Workload;
 
-/// Shared glue between a core [`ScheduleEngine`] and the simulator (the
-/// pattern [`darc::DarcSim`] established): arrivals are classified with
-/// the request's true type and enqueued, every dispatch decision the
+/// Shared glue between a core [`ScheduleEngine`] and the simulator:
+/// arrivals are classified (with the request's true type unless the
+/// caller says otherwise) and enqueued, every dispatch decision the
 /// engine makes is executed on the simulated cores, and completions are
 /// fed back so the engine's worker bookkeeping mirrors the simulation.
 pub(crate) struct EngineAdapter<E: ScheduleEngine<ReqId>> {
@@ -57,18 +57,36 @@ impl<E: ScheduleEngine<ReqId>> EngineAdapter<E> {
         &self.engine
     }
 
+    /// Write access to the wrapped engine (telemetry attachment).
+    pub(crate) fn engine_mut(&mut self) -> &mut E {
+        &mut self.engine
+    }
+
     fn drain(&mut self, core: &mut Core) {
         while let Some(d) = self.engine.poll(core.now) {
             core.run(d.worker.index(), d.req);
         }
     }
 
-    /// Routes a simulation event through the engine. Slice/timer events
-    /// are unreachable: every adapted engine is non-preemptive.
+    /// Routes a simulation event through the engine, classifying
+    /// arrivals perfectly.
     pub(crate) fn handle(&mut self, ev: Event, core: &mut Core) {
+        self.handle_classified(ev, core, |core, id| core.req(id).ty);
+    }
+
+    /// [`EngineAdapter::handle`] with the arrival's type decided by
+    /// `classify` (the broken classifier of Figure 9 plugs in here).
+    /// Slice/timer events are unreachable: every adapted engine is
+    /// non-preemptive.
+    pub(crate) fn handle_classified(
+        &mut self,
+        ev: Event,
+        core: &mut Core,
+        classify: impl FnOnce(&Core, ReqId) -> TypeId,
+    ) {
         match ev {
             Event::Arrival(id) => {
-                let ty = core.req(id).ty;
+                let ty = classify(core, id);
                 if let Err(rejected) = self.engine.enqueue(ty, id, core.now) {
                     core.drop_req(rejected);
                 }

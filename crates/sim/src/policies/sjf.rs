@@ -93,8 +93,8 @@ mod tests {
         // With one type every queue key is equal, so SJF must break ties
         // by arrival order — identical completions to c-FCFS on the same
         // arrival trace.
-        use crate::dist::Dist;
         use crate::workload::TypeMix;
+        use persephone_core::dist::Dist;
         let wl = Workload::new(
             "uni",
             vec![TypeMix::new(

@@ -13,8 +13,8 @@
 use persephone_core::time::Nanos;
 use persephone_core::types::TypeId;
 
-use crate::dist::Dist;
-use crate::rng::Rng;
+use persephone_core::dist::Dist;
+use persephone_core::rng::Rng;
 
 /// One request type inside a workload mix.
 #[derive(Clone, Debug, PartialEq)]

@@ -6,8 +6,8 @@
 //! is a seqlock over a fixed block of `AtomicU64` words:
 //!
 //! * A writer claims a position with one `fetch_add` on the head, CAS's
-//!   the slot's sequence from its previous-lap value to odd (dropping
-//!   the event if another writer holds the slot — see
+//!   the slot's sequence from whatever older published value it holds to
+//!   odd (dropping the event if another writer holds the slot — see
 //!   [`EventRing::push`]), stores the encoded event words, then
 //!   publishes an even sequence derived from the position.
 //! * A reader loads the sequence, copies the words, and re-checks the
@@ -339,27 +339,38 @@ impl EventRing {
     /// sequences can publish a *blend* of their payload words under an
     /// even sequence — the model checker found exactly that schedule
     /// (see `tests/model_seqlock.rs`). The claim below is therefore a
-    /// CAS on the previous generation's published sequence: whichever
-    /// colliding writer loses simply drops its event, which readers
-    /// count as lost via the sequence-gap accounting. Losses stay
-    /// detectable; blends become impossible.
+    /// CAS from an older *published* sequence: whichever colliding
+    /// writer loses simply drops its event, which readers count as lost
+    /// via the sequence-gap accounting. Losses stay detectable; blends
+    /// become impossible.
+    ///
+    /// The claim accepts *any* older even sequence, not just the
+    /// previous lap's. A writer that backed off leaves its slot a lap
+    /// behind; were the claim to insist on exactly `2*(pos-cap)+2`,
+    /// every later writer would miss and the slot would never record
+    /// again.
     pub fn push(&self, ev: &SchedEvent) -> u64 {
         // audit:ordering: the RMW only claims a position; publication is
         // ordered by the slot's seqlock (Release fence + seq stores below)
         let pos = self.head.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(pos & self.mask) as usize];
-        let cap = self.slots.len() as u64;
-        // The slot is claimable only in its quiescent previous-lap
-        // state: published `2*(pos-cap)+2`, or 0 on the first lap. Any
-        // other value means a lapped writer is mid-write (odd) or a
-        // newer writer already took the slot (larger) — back off.
-        let expected = if pos >= cap { 2 * (pos - cap) + 2 } else { 0 };
-        if slot
-            .seq
-            // audit:ordering: the CAS only claims the slot; the Release
-            // fence below orders the payload against the odd sequence
-            .compare_exchange(expected, 2 * pos + 1, Ordering::Relaxed, Ordering::Relaxed)
-            .is_err()
+        let claim = 2 * pos + 1;
+        // The slot is claimable only while quiescent and older than this
+        // position: an odd value means another writer is mid-write, a
+        // larger one that a newer writer already took the slot — back
+        // off. Sequences only ever grow, so the CAS on the loaded value
+        // cannot be fooled by a value coming back.
+        // audit:ordering: a stale load at worst fails the CAS below,
+        // which drops the event like any other collision
+        let seen = slot.seq.load(Ordering::Relaxed);
+        if seen % 2 == 1
+            || seen > claim
+            || slot
+                .seq
+                // audit:ordering: the CAS only claims the slot; the Release
+                // fence below orders the payload against the odd sequence
+                .compare_exchange(seen, claim, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
         {
             return pos;
         }
@@ -371,7 +382,7 @@ impl EventRing {
             // Release fence above and the seq Release store below
             w.store(v, Ordering::Relaxed);
         }
-        slot.seq.store(2 * pos + 2, Ordering::Release);
+        slot.seq.store(claim + 1, Ordering::Release);
         pos
     }
 
@@ -553,25 +564,40 @@ mod tests {
         assert_eq!(got, vec![4, 5]);
     }
 
+    /// Two writers hammering `ring` until told to stop; returns once both
+    /// have pushed, so callers never race thread start-up.
+    fn spawn_writers(
+        ring: &std::sync::Arc<EventRing>,
+        stop: &std::sync::Arc<std::sync::atomic::AtomicBool>,
+    ) -> Vec<std::thread::JoinHandle<()>> {
+        let started = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let writers = (0..2)
+            .map(|t| {
+                let (ring, stop, started) = (ring.clone(), stop.clone(), started.clone());
+                std::thread::spawn(move || {
+                    let mut n = t;
+                    ring.push(&steal(n));
+                    started.fetch_add(1, std::sync::atomic::Ordering::Release);
+                    while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        n += 2;
+                        ring.push(&steal(n));
+                    }
+                })
+            })
+            .collect();
+        while started.load(std::sync::atomic::Ordering::Acquire) < 2 {
+            std::thread::yield_now();
+        }
+        writers
+    }
+
     #[test]
     fn concurrent_push_and_collect_never_tears() {
         use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
         let ring = Arc::new(EventRing::new(16));
         let stop = Arc::new(AtomicBool::new(false));
-        let writers: Vec<_> = (0..2)
-            .map(|t| {
-                let ring = ring.clone();
-                let stop = stop.clone();
-                std::thread::spawn(move || {
-                    let mut n = t;
-                    while !stop.load(Ordering::Relaxed) {
-                        ring.push(&steal(n));
-                        n += 2;
-                    }
-                })
-            })
-            .collect();
+        let writers = spawn_writers(&ring, &stop);
         let mut total_seen = 0u64;
         for _ in 0..200 {
             let log = ring.collect();
@@ -594,10 +620,59 @@ mod tests {
             // Accounting always reconciles against the head we saw.
             assert_eq!(log.events.len() as u64 + log.overwritten, log.pushed);
         }
-        stop.store(true, Ordering::Relaxed);
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
         for w in writers {
             w.join().unwrap();
         }
         assert!(total_seen > 0);
+    }
+
+    /// Regression: a push that backs off from a collision leaves its slot
+    /// a lap behind. The claim used to accept only the exact
+    /// previous-lap sequence, so such a slot never recorded again.
+    #[test]
+    fn slot_recovers_after_a_backed_off_push() {
+        let ring = EventRing::new(4);
+        for n in 0..4 {
+            ring.push(&steal(n));
+        }
+        // One lap of pushes that each claimed a position and then lost
+        // their slot to a collision: the head moved, the slots did not.
+        ring.head.fetch_add(4, Ordering::Relaxed);
+        for n in 8..12 {
+            assert_eq!(ring.push(&steal(n)), n);
+        }
+        let log = ring.collect();
+        let got: Vec<u64> = log.events.iter().map(|(p, _)| *p).collect();
+        assert_eq!(got, vec![8, 9, 10, 11]);
+        assert_eq!(log.overwritten, 8);
+    }
+
+    /// The same defect as it showed up in practice: after 200 ms of two
+    /// racing writers a quiescent ring kept 0 of 16 fresh events.
+    #[test]
+    fn slots_recover_after_writer_collisions() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+        let ring = Arc::new(EventRing::new(16));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers = spawn_writers(&ring, &stop);
+        std::thread::sleep(std::time::Duration::from_millis(200));
+        stop.store(true, std::sync::atomic::Ordering::Relaxed);
+        for w in writers {
+            w.join().unwrap();
+        }
+        // Quiescent now: one full lap of single-threaded pushes must all
+        // land, whatever state the race left each slot in.
+        let first = ring.pushed();
+        for n in 0..16 {
+            ring.push(&steal(1_000 + n));
+        }
+        let log = ring.collect();
+        let got: Vec<u64> = log.events.iter().map(|(p, _)| *p).collect();
+        assert_eq!(got, (first..first + 16).collect::<Vec<_>>());
+        for (pos, ev) in &log.events {
+            assert_eq!(*ev, steal(1_000 + pos - first));
+        }
     }
 }

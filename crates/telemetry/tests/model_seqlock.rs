@@ -116,3 +116,31 @@ fn seqlock_overlapping_writers_never_blend() {
         assert_eq!(log.events.len() as u64 + log.overwritten, 2);
     });
 }
+
+/// A slot recovers after a collision. Two writers race for the one slot;
+/// the loser backs off and — when it held the *newer* position — leaves
+/// the slot's sequence a lap behind what the next claimant used to
+/// expect. Whatever the race left behind, a quiescent third push must
+/// claim the slot and be collected intact.
+#[test]
+fn seqlock_slot_recovers_after_a_collision() {
+    model(|| {
+        let ring = Arc::new(EventRing::new(1));
+        let writers: Vec<_> = (0..2u64)
+            .map(|t| {
+                let ring = ring.clone();
+                thread::spawn(move || {
+                    ring.push(&steal(10 + t));
+                })
+            })
+            .collect();
+        for w in writers {
+            w.join();
+        }
+        assert_eq!(ring.push(&steal(12)), 2);
+        let log = ring.collect();
+        assert_eq!(log.pushed, 3);
+        assert_eq!(log.events, vec![(2, steal(12))]);
+        assert_eq!(log.overwritten, 2);
+    });
+}

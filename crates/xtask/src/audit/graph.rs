@@ -37,10 +37,12 @@ pub const BOUNDARY_METHODS: &[&str] = &["handle", "classify", "report", "merged"
 pub const EXCLUDED_CRATES: &[&str] = &["check", "store", "sim"];
 
 /// Trait methods that are *not* rooted: they run once at wiring or
-/// teardown (`set_telemetry` before the loop starts, `report` and
-/// `drain_all` after it exits — engine.rs documents `drain_all` as
+/// teardown (`set_telemetry` before the loop starts, `Select::build` and
+/// `Select::lanes` inside the engine constructor, `report` and
+/// `drain_all` after the loop exits — engine.rs documents `drain_all` as
 /// "orderly teardown"), not per request.
-pub const ROOT_EXCLUDE_METHODS: &[&str] = &["report", "set_telemetry", "drain_all"];
+pub const ROOT_EXCLUDE_METHODS: &[&str] =
+    &["report", "set_telemetry", "drain_all", "build", "lanes"];
 
 /// The flattened workspace: every function with its file, plus edges.
 pub struct Graph<'a> {

@@ -25,8 +25,9 @@ use std::path::{Path, PathBuf};
 /// Free functions rooted by name: the three event loops.
 pub const ROOT_FNS: &[&str] = &["run_dispatcher", "run_worker", "run_rack_scheduled"];
 
-/// Traits whose every impl method (and default body) is a root.
-pub const ROOT_TRAITS: &[&str] = &["ScheduleEngine"];
+/// Traits whose every impl method (and default body) is a root: the
+/// engine's verbs and the per-policy selection rules they call into.
+pub const ROOT_TRAITS: &[&str] = &["ScheduleEngine", "Select"];
 
 /// Types whose every `self` method is a root: the hot-path containers.
 pub const ROOT_TYPES: &[&str] = &["ArenaRing", "TypedQueue", "WorkerTable"];
@@ -368,11 +369,10 @@ mod tests {
     #[test]
     fn mutation_lock_in_engine_method_trips_a3() {
         let root = workspace_root();
-        let rel = "crates/core/src/dispatch/cfcfs.rs";
+        let rel = "crates/core/src/dispatch/engine.rs";
         let src = read(&root, rel);
-        let anchor = "fn enqueue(";
-        assert!(src.contains(anchor), "anchor moved; update this test");
-        // Inject at the top of the enqueue body.
+        // Inject at the top of the one `enqueue` body (the trait's
+        // declaration ends in `;`, so only the impl matches).
         let mutated = src.replacen(
             "fn enqueue(&mut self, ty: TypeId, req: R, now: Nanos) -> Result<(), R> {",
             "fn enqueue(&mut self, ty: TypeId, req: R, now: Nanos) -> Result<(), R> { self.mu.lock();",
@@ -384,6 +384,54 @@ mod tests {
             !findings_for(&audit, "A3", rel).is_empty(),
             "injected lock() not caught"
         );
+    }
+
+    /// Mutation: an `unwrap()` injected into a `Select` method trips A1 —
+    /// policy code lives in selection rules, so they are roots too.
+    #[test]
+    fn mutation_unwrap_in_select_method_trips_a1() {
+        let root = workspace_root();
+        let rel = "crates/core/src/dispatch/baselines.rs";
+        let src = read(&root, rel);
+        // The first `select` in the file is c-FCFS's.
+        let mutated = src.replacen(
+            "fn select<R>(&self, core: &EngineCore<R>) -> Option<Pick> {",
+            "fn select<R>(&self, core: &EngineCore<R>) -> Option<Pick> { core.lanes.first().unwrap();",
+            1,
+        );
+        assert_ne!(mutated, src, "select signature moved; update this test");
+        let audit = analyze_with_overrides(&root, &[(rel, mutated)]);
+        let hits = findings_for(&audit, "A1", rel);
+        assert!(!hits.is_empty(), "injected unwrap not caught");
+        assert!(
+            hits.iter().any(|f| f.via.starts_with("Cfcfs::select")),
+            "{:?}",
+            hits[0].via
+        );
+    }
+
+    /// The rules' method names must stay clear of the rack tier's
+    /// `RackPolicy::pick`: method calls resolve by name, so a shared name
+    /// would wire every rack steering call into the engine rules.
+    #[test]
+    fn select_methods_do_not_alias_rack_policy() {
+        let root = workspace_root();
+        let methods_of = |rel: &str, trait_name: &str| -> Vec<String> {
+            parser::parse_file(rel, &read(&root, rel))
+                .fns
+                .iter()
+                .filter(|f| f.trait_impl.as_deref() == Some(trait_name))
+                .map(|f| f.name.clone())
+                .collect()
+        };
+        let mut select = methods_of("crates/core/src/dispatch/baselines.rs", "Select");
+        select.extend(methods_of("crates/core/src/dispatch/darc.rs", "Select"));
+        let rack_policy = methods_of("crates/rack/src/policy.rs", "RackPolicy");
+        assert!(select.contains(&"select".to_string()), "{select:?}");
+        assert!(rack_policy.contains(&"pick".to_string()), "{rack_policy:?}");
+        for name in &select {
+            assert!(!rack_policy.contains(name), "`{name}` aliases RackPolicy");
+        }
     }
 
     /// Mutation: an unannotated aliased `Relaxed` trips A4 — including

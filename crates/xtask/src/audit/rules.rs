@@ -34,13 +34,13 @@ pub const INDEX_EXEMPT_TYPES: &[&str] = &[
     "ArenaRing",
     "TypedQueue",
     "WorkerTable",
-    // engines: dense per-type/per-worker arrays sized at construction
+    // engine core and rules: dense per-type/per-lane/per-worker arrays
+    // sized at construction
     "Profiler",
-    "DarcEngine",
-    "CfcfsEngine",
-    "SjfEngine",
-    "DfcfsEngine",
-    "FixedPriorityEngine",
+    "Engine",
+    "EngineCore",
+    "Darc",
+    "FixedPriority",
     // rings: power-of-two capacity, masked indices
     "Ring",
     "Producer",

@@ -5,13 +5,13 @@
 //! Seeded with the repo's own xoshiro256++ RNG; a smoke-sized case count
 //! runs by default, `--features heavy-testing` deepens the sweep.
 
-use persephone::core::dispatch::{DarcEngine, EngineConfig};
+use persephone::core::dispatch::{DarcEngine, EngineConfig, ScheduleEngine};
 use persephone::core::profile::{demands_of, TypeStat};
 use persephone::core::queue::TypedQueue;
 use persephone::core::reserve::{reserve, ReserveConfig};
+use persephone::core::rng::Rng;
 use persephone::core::time::Nanos;
 use persephone::core::types::TypeId;
-use persephone::sim::rng::Rng;
 
 #[cfg(feature = "heavy-testing")]
 const CASES: u64 = 256;

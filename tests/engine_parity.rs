@@ -257,59 +257,54 @@ fn every_live_policy_replays_its_pinned_decisions() {
     let inverted = [hints[1], hints[0]];
     let arrivals = trace(0xC0FFEE, 4_000, 2, 700);
 
-    // Dynamic DARC boots unhinted with a small window: it leaves the
-    // c-FCFS warm-up and re-reserves while the trace is still running.
-    let mut dynamic = EngineConfig::darc(6);
-    dynamic.profiler.min_samples = 200;
-    let cases: [(&str, Policy, EngineConfig, &[Option<Nanos>], u64); 6] = [
-        (
-            "DARC",
-            Policy::Darc,
-            dynamic,
-            &[None, None],
-            0x23f8_6794_fe8a_c5a5,
-        ),
-        (
+    struct Pinned<'a> {
+        name: &'static str,
+        policy: Policy,
+        hints: &'a [Option<Nanos>],
+        hash: u64,
+    }
+    let pin = |name, policy, hints, hash| Pinned {
+        name,
+        policy,
+        hints,
+        hash,
+    };
+    let cases = [
+        // Unhinted: boots in c-FCFS warm-up, then reserves and re-reserves.
+        pin("DARC", Policy::Darc, &[None, None], 0x23f8_6794_fe8a_c5a5),
+        pin(
             "DARC-static",
             Policy::DarcStatic { reserved_short: 2 },
-            EngineConfig::darc(6),
             &hints,
             0x7250_781b_e707_1faa,
         ),
-        (
-            "c-FCFS",
-            Policy::CFcfs,
-            EngineConfig::darc(6),
-            &hints,
-            0x3501_6a0e_625d_c778,
-        ),
+        pin("c-FCFS", Policy::CFcfs, &hints, 0x3501_6a0e_625d_c778),
         // Hints that contradict the measured service times: SJF re-sorts
         // on profiled means, FP keeps the configured order.
-        (
-            "SJF",
-            Policy::Sjf,
-            EngineConfig::darc(6),
-            &inverted,
-            0x6d0a_85dd_a406_78a6,
-        ),
-        (
+        pin("SJF", Policy::Sjf, &inverted, 0x6d0a_85dd_a406_78a6),
+        pin(
             "FP",
             Policy::FixedPriority,
-            EngineConfig::darc(6),
             &inverted,
             0xf0e9_1708_480e_98da,
         ),
-        (
-            "d-FCFS",
-            Policy::DFcfs,
-            EngineConfig::darc(6),
-            &hints,
-            0x01cb_8d22_65bc_824b,
-        ),
+        pin("d-FCFS", Policy::DFcfs, &hints, 0x01cb_8d22_65bc_824b),
     ];
     let mut moved = Vec::new();
-    for (name, policy, cfg, engine_hints, pinned) in cases {
-        let mut engine = build_engine::<u64>(&policy, cfg, 2, engine_hints);
+    for Pinned {
+        name,
+        policy,
+        hints,
+        hash: pinned,
+    } in cases
+    {
+        let mut cfg = EngineConfig::darc(6);
+        if policy == Policy::Darc {
+            // A small window, so dynamic DARC leaves its warm-up and
+            // re-reserves while the trace is still running.
+            cfg.profiler.min_samples = 200;
+        }
+        let mut engine = build_engine::<u64>(&policy, cfg, 2, hints);
         let decisions = drive(engine.as_mut(), &arrivals, service);
         assert_eq!(decisions.len(), arrivals.len(), "{name}: one dispatch each");
         let report = engine.report();

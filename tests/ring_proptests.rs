@@ -1,15 +1,15 @@
 //! Randomized property tests for the lock-free rings against a model
 //! queue, plus wire-format round trips.
 //!
-//! Seeded with the repo's own xoshiro256++ [`persephone::sim::rng::Rng`]
+//! Seeded with the repo's own xoshiro256++ [`persephone::core::rng::Rng`]
 //! so the suite is deterministic and dependency-free. A smoke-sized set
 //! of cases runs by default; build with `--features heavy-testing` for
 //! the deep sweep.
 
 use std::collections::VecDeque;
 
+use persephone::core::rng::Rng;
 use persephone::net::{mpsc, spsc};
-use persephone::sim::rng::Rng;
 
 #[cfg(feature = "heavy-testing")]
 const CASES: u64 = 256;

@@ -1,9 +1,9 @@
 //! Cross-crate simulation integration tests: queueing-theory baselines,
 //! paper-workload dominance relations, and determinism.
 
+use persephone::core::dist::Dist;
 use persephone::core::policy::{Policy, TimeSharingParams};
 use persephone::core::time::Nanos;
-use persephone::sim::dist::Dist;
 use persephone::sim::experiment::{capacity_at_slo, run_point, sweep, Slo, SweepConfig};
 use persephone::sim::workload::{TypeMix, Workload};
 
