@@ -1,12 +1,21 @@
 //! The discrete-event simulation engine.
 //!
-//! The engine owns simulated time, the event heap, the request slab, the
-//! worker states, and the metrics recorder. Scheduling policies implement
-//! [`SimPolicy`] and react to four events: a request *arrival*, a worker
-//! *completion*, a *slice expiry* (preemptive policies only), and policy
-//! *timers*. Policies place work through [`Core::run`] (non-preemptive,
-//! run to completion) or [`Core::run_slice`] (bounded slice plus optional
-//! preemption overhead, for time-sharing policies).
+//! The engine owns simulated time, the pending events, the request slab,
+//! the worker states, and the metrics recorder. Scheduling policies
+//! implement [`SimPolicy`] and react to four events: a request *arrival*,
+//! a worker *completion*, a *slice expiry* (preemptive policies only), and
+//! policy *timers*. Policies place work through [`Core::run`]
+//! (non-preemptive, run to completion) or [`Core::run_slice`] (bounded
+//! slice plus optional preemption overhead, for time-sharing policies).
+//!
+//! A run never holds more than one pending arrival and one slice end per
+//! worker, so those live in fixed slots and only timers, which no shipped
+//! policy sets, go through a heap. Every scheduled event gets a key: its
+//! time, then a sequence number taken when it was scheduled (the next
+//! arrival before the policy sees the current one, a slice end in
+//! [`Core::run`] and its siblings, a timer in [`Core::timer`]). The least
+//! key fires next, so events at the same time fire in the order they were
+//! scheduled.
 //!
 //! The paper's own Figures 1 and 10 come from exactly this kind of
 //! simulation; we extend it to every evaluation figure.
@@ -39,17 +48,22 @@ pub struct Req {
     active: bool,
 }
 
+/// When a scheduled event fires: its time in the high half, the sequence
+/// number it was scheduled under in the low half. Keys are unique.
+type EvKey = u128;
+
+/// The key of a slot that holds no event; it sorts after every real one.
+const NO_EVENT: EvKey = EvKey::MAX;
+
+/// One worker: the slice it is running, if any, and its time accounts.
 #[derive(Clone, Copy, Debug)]
-struct Running {
+struct Worker {
+    /// Key of the running slice's end; `NO_EVENT` while idle.
+    slice_end: EvKey,
     req: ReqId,
     completes: bool,
-}
-
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-enum EvKind {
-    Arrival,
-    SliceEnd { worker: u32 },
-    Timer { tag: u64 },
+    busy_ns: u64,
+    overhead_ns: u64,
 }
 
 /// Events a policy receives.
@@ -126,11 +140,14 @@ pub struct Core {
     pub now: Nanos,
     slab: Vec<Req>,
     free: Vec<ReqId>,
-    heap: BinaryHeap<Reverse<(Nanos, u64, EvKind)>>,
     seq: u64,
-    running: Vec<Option<Running>>,
-    busy_ns: Vec<u64>,
-    overhead_ns: Vec<u64>,
+    workers: Vec<Worker>,
+    /// The least `slice_end` over `workers`, and whose it is: kept so
+    /// that only a slice end, not an arrival, costs a scan.
+    next_slice_end: EvKey,
+    next_worker: usize,
+    /// `(key, tag)` of every pending timer.
+    timers: BinaryHeap<Reverse<(EvKey, u64)>>,
     recorder: Recorder,
     timeline: Option<Timeline>,
     live: u64,
@@ -139,29 +156,33 @@ pub struct Core {
 }
 
 impl Core {
-    fn push_ev(&mut self, at: Nanos, kind: EvKind) {
+    /// The key of an event scheduled now to fire at `at`.
+    fn schedule(&mut self, at: Nanos) -> EvKey {
         self.seq += 1;
-        self.heap.push(Reverse((at, self.seq, kind)));
+        (at.as_nanos() as EvKey) << 64 | self.seq as EvKey
     }
 
     /// Number of workers.
     pub fn num_workers(&self) -> usize {
-        self.running.len()
+        self.workers.len()
     }
 
     /// Whether `worker` is idle.
     pub fn worker_idle(&self, worker: usize) -> bool {
-        self.running[worker].is_none()
+        self.workers[worker].slice_end == NO_EVENT
     }
 
     /// The lowest-indexed idle worker, if any.
     pub fn idle_worker(&self) -> Option<usize> {
-        self.running.iter().position(|r| r.is_none())
+        self.workers.iter().position(|w| w.slice_end == NO_EVENT)
     }
 
     /// Number of idle workers.
     pub fn idle_count(&self) -> usize {
-        self.running.iter().filter(|r| r.is_none()).count()
+        self.workers
+            .iter()
+            .filter(|w| w.slice_end == NO_EVENT)
+            .count()
     }
 
     /// Read a live request.
@@ -243,31 +264,29 @@ impl Core {
         overhead: Nanos,
         completes: bool,
     ) {
-        assert!(
-            self.running[worker].is_none(),
-            "worker {worker} is already busy"
-        );
+        assert!(self.worker_idle(worker), "worker {worker} is already busy");
         let r = &mut self.slab[req as usize];
         assert!(r.active, "running a stale request");
         r.remaining = r.remaining.saturating_sub(progress);
         if !completes {
             r.preemptions += 1;
         }
-        self.running[worker] = Some(Running { req, completes });
-        self.busy_ns[worker] += progress.as_nanos();
-        self.overhead_ns[worker] += overhead.as_nanos();
-        let end = self.now + progress + overhead;
-        self.push_ev(
-            end,
-            EvKind::SliceEnd {
-                worker: worker as u32,
-            },
-        );
+        let slice_end = self.schedule(self.now + progress + overhead);
+        if slice_end < self.next_slice_end {
+            (self.next_slice_end, self.next_worker) = (slice_end, worker);
+        }
+        let w = &mut self.workers[worker];
+        w.slice_end = slice_end;
+        w.req = req;
+        w.completes = completes;
+        w.busy_ns += progress.as_nanos();
+        w.overhead_ns += overhead.as_nanos();
     }
 
     /// Schedules a policy timer at absolute time `at`.
     pub fn timer(&mut self, at: Nanos, tag: u64) {
-        self.push_ev(at.max(self.now), EvKind::Timer { tag });
+        let key = self.schedule(at.max(self.now));
+        self.timers.push(Reverse((key, tag)));
     }
 
     /// Drops a request (flow control): records the drop and frees the slot.
@@ -369,33 +388,42 @@ impl SimOutput {
 }
 
 /// Runs a policy against an arrival stream until every request completes.
+/// The stream must be ordered by arrival time.
 ///
 /// # Panics
 ///
-/// Panics if the policy strands requests (queues non-empty with the event
-/// heap exhausted) — that is a policy bug, not an overload condition.
-pub fn simulate<I>(
-    policy: &mut dyn SimPolicy,
+/// Panics if the policy strands requests (queues non-empty with no event
+/// left) — that is a policy bug, not an overload condition.
+pub fn simulate<P, I>(
+    policy: &mut P,
     gen: I,
     num_types: usize,
     total_duration: Nanos,
     cfg: &SimConfig,
 ) -> SimOutput
 where
+    P: SimPolicy + ?Sized,
     I: IntoIterator<Item = Arrival>,
 {
     let mut gen = gen.into_iter();
     let warmup_end =
         Nanos::from_nanos((total_duration.as_nanos() as f64 * cfg.warmup_fraction) as u64);
+    let idle = Worker {
+        slice_end: NO_EVENT,
+        req: 0,
+        completes: false,
+        busy_ns: 0,
+        overhead_ns: 0,
+    };
     let mut core = Core {
         now: Nanos::ZERO,
         slab: Vec::with_capacity(1024),
         free: Vec::new(),
-        heap: BinaryHeap::new(),
         seq: 0,
-        running: vec![None; cfg.workers],
-        busy_ns: vec![0; cfg.workers],
-        overhead_ns: vec![0; cfg.workers],
+        workers: vec![idle; cfg.workers],
+        next_slice_end: NO_EVENT,
+        next_worker: 0,
+        timers: BinaryHeap::new(),
         recorder: Recorder::new(num_types, warmup_end),
         timeline: cfg.timeline_bucket.map(|b| Timeline::new(b, num_types)),
         live: 0,
@@ -405,53 +433,57 @@ where
 
     // Prime the first arrival.
     let mut pending = gen.next();
-    if let Some(a) = pending {
-        core.push_ev(a.at, EvKind::Arrival);
-    }
+    let mut arrival = pending.map_or(NO_EVENT, |a| core.schedule(a.at));
 
-    while let Some(Reverse((at, _, kind))) = core.heap.pop() {
-        core.now = at;
-        match kind {
-            EvKind::Arrival => {
-                let a = pending.take().expect("arrival event without data");
-                let id = core.alloc(a.ty, a.at, a.service);
-                // Schedule the next arrival before the policy runs so the
-                // heap never starves while work remains.
-                pending = gen.next();
-                if let Some(n) = pending {
-                    core.push_ev(n.at, EvKind::Arrival);
-                }
-                policy.handle(Event::Arrival(id), &mut core);
-            }
-            EvKind::SliceEnd { worker } => {
-                let w = worker as usize;
-                let run = core.running[w].take().expect("slice end on idle worker");
-                if run.completes {
-                    let r = &core.slab[run.req as usize];
-                    let (ty, service) = (r.ty, r.service);
-                    core.finish(run.req);
-                    policy.handle(
-                        Event::Completed {
-                            worker: w,
-                            req: run.req,
-                            ty,
-                            service,
-                        },
-                        &mut core,
-                    );
-                } else {
-                    policy.handle(
-                        Event::SliceExpired {
-                            worker: w,
-                            req: run.req,
-                        },
-                        &mut core,
-                    );
+    loop {
+        // The least key among the pending arrival, the earliest slice end
+        // and the earliest timer fires; keys are unique, so the key says
+        // which of the three it was.
+        let timer = core.timers.peek().map_or(NO_EVENT, |t| t.0 .0);
+        let key = arrival.min(core.next_slice_end).min(timer);
+        if key == NO_EVENT {
+            break;
+        }
+        core.now = Nanos::from_nanos((key >> 64) as u64);
+        if key == arrival {
+            let a = pending.take().expect("arrival event without data");
+            let id = core.alloc(a.ty, a.at, a.service);
+            // Schedule the next arrival before the policy runs, so that it
+            // precedes whatever the policy schedules for the same time.
+            pending = gen.next();
+            arrival = pending.map_or(NO_EVENT, |n| {
+                debug_assert!(n.at >= a.at, "arrivals out of order: {n:?} after {a:?}");
+                core.schedule(n.at)
+            });
+            policy.handle(Event::Arrival(id), &mut core);
+        } else if key == core.next_slice_end {
+            let worker = core.next_worker;
+            let w = &mut core.workers[worker];
+            w.slice_end = NO_EVENT;
+            let (req, completes) = (w.req, w.completes);
+            core.next_slice_end = NO_EVENT;
+            for (i, w) in core.workers.iter().enumerate() {
+                if w.slice_end < core.next_slice_end {
+                    (core.next_slice_end, core.next_worker) = (w.slice_end, i);
                 }
             }
-            EvKind::Timer { tag } => {
-                policy.handle(Event::Timer(tag), &mut core);
+            if completes {
+                let r = &core.slab[req as usize];
+                let (ty, service) = (r.ty, r.service);
+                core.finish(req);
+                let done = Event::Completed {
+                    worker,
+                    req,
+                    ty,
+                    service,
+                };
+                policy.handle(done, &mut core);
+            } else {
+                policy.handle(Event::SliceExpired { worker, req }, &mut core);
             }
+        } else {
+            let Reverse((_, tag)) = core.timers.pop().expect("peeked");
+            policy.handle(Event::Timer(tag), &mut core);
         }
     }
 
@@ -462,15 +494,15 @@ where
         core.live
     );
 
+    let workers = core.workers.iter();
     SimOutput {
         summary: core.recorder.summarize(cfg.rtt),
         end_time: core.now,
-        busy: core.busy_ns.iter().map(|&b| Nanos::from_nanos(b)).collect(),
-        overhead: core
-            .overhead_ns
-            .iter()
-            .map(|&b| Nanos::from_nanos(b))
+        busy: workers
+            .clone()
+            .map(|w| Nanos::from_nanos(w.busy_ns))
             .collect(),
+        overhead: workers.map(|w| Nanos::from_nanos(w.overhead_ns)).collect(),
         completions: core.completions,
         timeline: core.timeline.as_ref().map(|t| t.series()),
     }
@@ -480,6 +512,7 @@ where
 mod tests {
     use super::*;
     use crate::workload::{ArrivalGen, Workload};
+    use persephone_core::rng::Rng;
 
     /// A trivial c-FCFS policy used to exercise the engine itself.
     struct MiniFcfs {
@@ -654,5 +687,185 @@ mod tests {
         let total = out.completions;
         let frac = kept as f64 / total as f64;
         assert!((frac - 0.9).abs() < 0.02, "kept fraction = {frac}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "arrivals out of order")]
+    fn unordered_arrivals_are_caught_in_debug_builds() {
+        let at = |us| Arrival {
+            at: Nanos::from_micros(us),
+            ty: TypeId::new(0),
+            service: Nanos::from_micros(1),
+        };
+        let mut p = MiniFcfs {
+            queue: Default::default(),
+        };
+        let dur = Nanos::from_micros(10);
+        simulate(&mut p, [at(5), at(3)], 1, dur, &SimConfig::new(1));
+    }
+
+    /// What the reference heap holds: the heap-driven engine's event kinds.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    enum RefKind {
+        Arrival,
+        SliceEnd(usize),
+        Timer(u64),
+    }
+
+    /// A policy that starts slices and sets timers at random, and mirrors
+    /// everything the engine schedules into the event heap the engine
+    /// used to be built on: `(time, seq, kind)`, least first. Every event
+    /// the engine fires must be the one the reference pops.
+    struct Mirror {
+        rng: Rng,
+        arrivals: Vec<Nanos>,
+        seq: u64,
+        heap: BinaryHeap<Reverse<(Nanos, u64, RefKind)>>,
+        queue: std::collections::VecDeque<ReqId>,
+        events: u64,
+    }
+
+    impl Mirror {
+        fn new(trace: &[Arrival], seed: u64) -> Self {
+            let mut m = Mirror {
+                rng: Rng::new(seed),
+                arrivals: trace.iter().rev().map(|a| a.at).collect(),
+                seq: 0,
+                heap: BinaryHeap::new(),
+                queue: Default::default(),
+                events: 0,
+            };
+            m.expect_next_arrival();
+            m
+        }
+
+        fn expect(&mut self, at: Nanos, kind: RefKind) {
+            self.seq += 1;
+            self.heap.push(Reverse((at, self.seq, kind)));
+        }
+
+        fn expect_next_arrival(&mut self) {
+            if let Some(at) = self.arrivals.pop() {
+                self.expect(at, RefKind::Arrival);
+            }
+        }
+
+        /// Starts `req` on `worker` in one of the three ways, and expects
+        /// the slice end where each documents it.
+        fn start(&mut self, worker: usize, req: ReqId, core: &mut Core) {
+            let remaining = core.req(req).remaining;
+            let slice = Nanos::from_micros(1 + self.rng.next_below(2));
+            let cost = Nanos::from_micros(self.rng.next_below(2));
+            let busy = match self.rng.next_below(3) {
+                0 => {
+                    core.run(worker, req);
+                    remaining
+                }
+                1 => {
+                    core.run_slice(worker, req, slice, cost);
+                    if remaining <= slice {
+                        remaining
+                    } else {
+                        slice + cost
+                    }
+                }
+                _ => {
+                    core.run_slice_after(worker, req, cost, slice);
+                    remaining.min(slice) + cost
+                }
+            };
+            self.expect(core.now + busy, RefKind::SliceEnd(worker));
+        }
+    }
+
+    impl SimPolicy for Mirror {
+        fn name(&self) -> String {
+            "mirror".into()
+        }
+
+        fn handle(&mut self, ev: Event, core: &mut Core) {
+            let Reverse((at, _, kind)) = self.heap.pop().expect("reference has no event left");
+            let fired = match ev {
+                Event::Arrival(_) => RefKind::Arrival,
+                Event::Completed { worker, .. } | Event::SliceExpired { worker, .. } => {
+                    RefKind::SliceEnd(worker)
+                }
+                Event::Timer(tag) => RefKind::Timer(tag),
+            };
+            assert_eq!((core.now, fired), (at, kind), "event {}", self.events);
+            self.events += 1;
+            match ev {
+                Event::Arrival(id) => {
+                    // The engine schedules the next arrival before this call.
+                    self.expect_next_arrival();
+                    self.queue.push_back(id);
+                }
+                Event::SliceExpired { req, .. } => self.queue.push_back(req),
+                Event::Completed { .. } => {}
+                // A timer sets no timer, so the run ends.
+                Event::Timer(_) => return,
+            }
+            if self.rng.next_below(3) == 0 {
+                // From 1 µs in the past (clamped to now) to 2 µs ahead.
+                let at = (core.now + Nanos::from_micros(self.rng.next_below(4)))
+                    .saturating_sub(Nanos::from_micros(1));
+                core.timer(at, self.events);
+                self.expect(at.max(core.now), RefKind::Timer(self.events));
+            }
+            while !self.queue.is_empty() && core.idle_count() > 0 {
+                // A random idle worker, not the lowest.
+                let nth = self.rng.next_below(core.idle_count() as u64) as usize;
+                let mut idle = (0..core.num_workers()).filter(|&w| core.worker_idle(w));
+                let worker = idle.nth(nth).expect("counted");
+                let req = self.queue.pop_front().expect("non-empty");
+                self.start(worker, req, core);
+            }
+        }
+    }
+
+    #[test]
+    fn fires_events_in_the_order_of_a_reference_heap() {
+        let mut fired = 0;
+        for seed in 0..300u64 {
+            let mut rng = Rng::new(seed ^ 0x0E5E17);
+            // Every fourth run has one worker, every sixteenth no arrival.
+            let workers = match seed % 4 {
+                0 => 1,
+                _ => 1 + rng.next_below(64) as usize,
+            };
+            let requests = if seed % 16 == 1 {
+                0
+            } else {
+                rng.next_below(400)
+            };
+            // Everything lands on a 1 µs grid: gaps of 0–2 µs, services of
+            // 1–5 µs, so most events share their time with another.
+            let mut at = Nanos::ZERO;
+            let trace: Vec<Arrival> = (0..requests)
+                .map(|_| {
+                    at += Nanos::from_micros(rng.next_below(3));
+                    Arrival {
+                        at,
+                        ty: TypeId::new(0),
+                        service: Nanos::from_micros(1 + rng.next_below(5)),
+                    }
+                })
+                .collect();
+            let mut mirror = Mirror::new(&trace, seed);
+            let dur = Nanos::from_millis(1);
+            let cfg = SimConfig::new(workers);
+            let out = simulate(&mut mirror, trace.iter().copied(), 1, dur, &cfg);
+            assert!(
+                mirror.heap.is_empty(),
+                "seed {seed}: the reference holds more"
+            );
+            assert_eq!(out.completions, requests, "seed {seed}");
+            if requests == 0 {
+                assert_eq!((mirror.events, out.end_time), (0, Nanos::ZERO));
+            }
+            fired += mirror.events;
+        }
+        assert!(fired > 100_000, "{fired} events");
     }
 }

@@ -175,7 +175,7 @@ impl Percentiles {
         if samples.is_empty() {
             return Percentiles::default();
         }
-        samples.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
+        samples.sort_unstable_by(f64::total_cmp);
         let q = |p: f64| samples[Self::rank(samples.len(), p)];
         Percentiles {
             p50: q(0.50),
@@ -340,6 +340,14 @@ mod tests {
         let p = Percentiles::of_u64(&mut []);
         assert_eq!(p.count, 0);
         assert_eq!(p.p999, 0.0);
+    }
+
+    #[test]
+    fn a_nan_sample_sorts_last_and_does_not_panic() {
+        let mut v = vec![3.0, f64::NAN, 1.0, 2.0];
+        let p = Percentiles::of_f64(&mut v);
+        assert_eq!((p.p50, p.count), (2.0, 4));
+        assert!(p.max.is_nan());
     }
 
     #[test]
