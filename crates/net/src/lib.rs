@@ -8,8 +8,8 @@
 //!
 //! All `unsafe` code in the workspace lives in [`spsc`] and [`mpsc`], with
 //! `// SAFETY:` arguments on every block — enforced mechanically by
-//! `cargo xtask lint`. Both rings are built on the [`sync`] facade, so
-//! under `--features model-check` the exact shipped code runs inside
+//! `cargo xtask audit` (rule A5). Both rings are built on the [`sync`]
+//! facade, so under `--features model-check` the exact shipped code runs inside
 //! `persephone_check`'s bounded interleaving explorer (see
 //! `tests/model_rings.rs`).
 //!
@@ -37,7 +37,6 @@
 // `unsafe` is confined to the ring modules; see their SAFETY comments.
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod headers;
 pub mod mpsc;
 pub mod nic;
 pub mod pool;

@@ -6,8 +6,6 @@
 //! * [`cfcfs`] — centralized FCFS (single queue, any idle worker).
 //! * [`fp`] — fixed priority by type, work conserving.
 //! * [`sjf`] — non-preemptive shortest-job-first.
-//! * [`edf`] — non-preemptive earliest-deadline-first.
-//! * [`drr`] — deficit round robin over typed queues.
 //! * [`cscq`] — cycle stealing with central queue (Harchol-Balter).
 //! * [`ts`] — quantum-based time sharing (Shinjuku model).
 //! * [`darc`] — DARC, driving the real `persephone_core` engine.
@@ -16,8 +14,8 @@
 //! c-FCFS, FP, SJF, and both DARC variants — are thin adapters over the
 //! shared `persephone_core` [`ScheduleEngine`]s, so the simulator
 //! exercises the exact scheduling code a deployment runs. The remaining
-//! modules (`edf`, `drr`, `cscq`, and the preemptive `ts`) are
-//! simulator-only disciplines with their own logic.
+//! modules (`cscq` and the preemptive `ts`) are simulator-only
+//! disciplines with their own logic.
 //!
 //! [`build`] maps a [`Policy`] description onto a boxed implementation.
 
@@ -25,8 +23,6 @@ pub mod cfcfs;
 pub mod cscq;
 pub mod darc;
 pub mod dfcfs;
-pub mod drr;
-pub mod edf;
 pub mod fp;
 pub mod sjf;
 pub mod ts;

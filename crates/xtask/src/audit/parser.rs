@@ -1,6 +1,8 @@
 //! Item-level parser: extracts `fn` items, impl blocks, declared types,
-//! and per-function facts (calls, panic/alloc/blocking sites, indexing,
-//! `unsafe` and `Relaxed` occurrences) from a lexed token stream.
+//! inner attributes, per-function facts (calls, panic/alloc/blocking
+//! sites, indexing), and file-wide occurrences of the names the
+//! file-scope rules watch (`unsafe`, `Relaxed`, the A6 table) from a
+//! lexed token stream.
 //!
 //! This is a recursive-descent walk over the token stream with brace
 //! balancing, not a full grammar — it only understands as much Rust as
@@ -8,6 +10,7 @@
 //! (a fact the rules ignore is free; a missed call edge is a hole).
 
 use super::lexer::{lex, Comment, Tok, Token};
+use super::rules::A6;
 
 /// A single rule-relevant occurrence inside a function body.
 #[derive(Clone, Debug)]
@@ -56,6 +59,18 @@ pub struct FnItem {
     pub facts: Facts,
 }
 
+/// One occurrence of a watched name (see [`watched`]) anywhere in a file.
+#[derive(Clone, Debug)]
+pub struct NameSite {
+    /// The watched pattern, as written in the rule table.
+    pub name: &'static str,
+    pub line: u32,
+    /// Inside test code: a test file, `#[cfg(test)]` item, or `#[test]` fn.
+    pub in_test: bool,
+    /// Inside a `use` declaration.
+    pub in_use: bool,
+}
+
 /// A whole parsed source file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
@@ -63,16 +78,41 @@ pub struct ParsedFile {
     pub path: String,
     /// Owning crate (directory name under `crates/`).
     pub crate_name: String,
-    /// True when the whole file is test code (`tests/`, `benches/`).
+    /// True when the whole file is test code (see [`is_test_path`]).
     pub file_is_test: bool,
     pub fns: Vec<FnItem>,
     /// Type names declared in this file (struct/enum/union/trait/type).
     pub types: Vec<String>,
     pub comments: Vec<Comment>,
-    /// Every `Relaxed` identifier outside `use` declarations: (line, in test code).
-    pub relaxed_sites: Vec<(u32, bool)>,
-    /// Every `unsafe` keyword: (line, in test code).
-    pub unsafe_sites: Vec<(u32, bool)>,
+    /// Inner attributes (`#![…]`), bracket contents with whitespace
+    /// removed: `deny(unsafe_op_in_unsafe_fn)`.
+    pub inner_attrs: Vec<String>,
+    /// Every occurrence of a watched name, in source order.
+    pub names: Vec<NameSite>,
+}
+
+impl ParsedFile {
+    /// The occurrences of one watched name.
+    pub fn sites<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a NameSite> + 'a {
+        self.names.iter().filter(move |s| s.name == name)
+    }
+}
+
+/// True for a workspace-relative path whose file is test code as a
+/// whole: anything under a `tests/` or `benches/` directory.
+pub fn is_test_path(rel_path: &str) -> bool {
+    let mut dirs = rel_path.split('/').rev().skip(1);
+    dirs.any(|d| d == "tests" || d == "benches")
+}
+
+/// The names the file-scope rules need located: `unsafe` (A5),
+/// `Relaxed` (A4), and every A6 row's names. Each is a snippet of Rust
+/// matched token for token, so `.unwrap()` or `Instant::now` never
+/// match inside a string, a comment, or a longer identifier.
+fn watched() -> impl Iterator<Item = &'static str> {
+    ["unsafe", "Relaxed"]
+        .into_iter()
+        .chain(A6.iter().flat_map(|row| row.names.iter().copied()))
 }
 
 /// Panic-producing macros (A1). `debug_assert*` is excluded: it compiles
@@ -128,7 +168,7 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
         .and_then(|p| p.split('/').next())
         .unwrap_or("")
         .to_string();
-    let file_is_test = rel_path.contains("/tests/") || rel_path.contains("/benches/");
+    let file_is_test = is_test_path(rel_path);
     let mut pf = ParsedFile {
         path: rel_path.to_string(),
         crate_name,
@@ -153,19 +193,31 @@ pub fn parse_file(rel_path: &str, src: &str) -> ParsedFile {
     let use_spans = p.use_spans.clone();
     let test_spans = p.test_spans.clone();
     drop(p);
-    // File-scope scans for A4/A5: these must see code outside fn bodies
-    // too (statics, `unsafe impl`).
+    // File-scope scan for A4–A6: it must see code outside fn bodies too
+    // (statics, type aliases, `unsafe impl`, `use` declarations).
     let in_spans =
         |spans: &[(usize, usize)], idx: usize| spans.iter().any(|&(a, b)| idx >= a && idx < b);
+    let patterns: Vec<(&'static str, Vec<Token>)> =
+        watched().map(|name| (name, lex(name).tokens)).collect();
     for (idx, t) in toks.iter().enumerate() {
-        if t.kind != Tok::Ident {
-            continue;
-        }
-        let test = file_is_test || in_spans(&test_spans, idx);
-        if t.text == "Relaxed" && !in_spans(&use_spans, idx) {
-            pf.relaxed_sites.push((t.line, test));
-        } else if t.text == "unsafe" {
-            pf.unsafe_sites.push((t.line, test));
+        for (name, pat) in &patterns {
+            if pat[0].text != t.text {
+                continue;
+            }
+            let hit = toks[idx..].get(..pat.len()).is_some_and(|window| {
+                window
+                    .iter()
+                    .zip(pat)
+                    .all(|(w, p)| w.kind == p.kind && w.text == p.text)
+            });
+            if hit {
+                pf.names.push(NameSite {
+                    name,
+                    line: t.line,
+                    in_test: file_is_test || in_spans(&test_spans, idx),
+                    in_use: in_spans(&use_spans, idx),
+                });
+            }
         }
     }
     pf
@@ -237,7 +289,14 @@ impl<'a> Parser<'a> {
                     if self.is_punct(1, '!') {
                         self.i += 2; // inner attribute `#![…]`
                         if self.is_punct(0, '[') {
+                            let start = self.i + 1;
                             self.skip_balanced('[', ']');
+                            let end = self.i.saturating_sub(1).max(start);
+                            let text: String = self.toks[start..end]
+                                .iter()
+                                .map(|t| t.text.as_str())
+                                .collect();
+                            self.out.inner_attrs.push(text);
                         }
                         continue;
                     }
@@ -853,7 +912,7 @@ mod tests {
     }
 
     #[test]
-    fn relaxed_sites_skip_use_decls() {
+    fn relaxed_sites_mark_use_decls_and_test_code() {
         let src = r#"
             use std::sync::atomic::Ordering::Relaxed;
             static C: AtomicU64 = AtomicU64::new(0);
@@ -866,9 +925,8 @@ mod tests {
             }
         "#;
         let pf = parse_file("crates/demo/src/lib.rs", src);
-        assert_eq!(pf.relaxed_sites.len(), 2);
-        assert!(!pf.relaxed_sites[0].1, "fn site is not test code");
-        assert!(pf.relaxed_sites[1].1, "test-mod site is test code");
+        let flags: Vec<(bool, bool)> = pf.sites("Relaxed").map(|s| (s.in_use, s.in_test)).collect();
+        assert_eq!(flags, [(true, false), (false, false), (false, true)]);
     }
 
     #[test]
@@ -878,7 +936,50 @@ mod tests {
             fn f() { unsafe { core::hint::unreachable_unchecked() } }
         "#;
         let pf = parse_file("crates/demo/src/lib.rs", src);
-        assert_eq!(pf.unsafe_sites.len(), 2);
+        assert_eq!(pf.sites("unsafe").count(), 2);
+    }
+
+    #[test]
+    fn watched_names_match_whole_tokens_only() {
+        let src = r#"
+            /// Calls `x.unwrap()` and `Instant::now()` in prose only.
+            fn f(x: Option<u8>) -> u8 {
+                let _ = "println!(.unwrap())";
+                let _m: FxHashMap<u8, u8> = todo!();
+                let _t = std::time::Instant::now();
+                x.unwrap()
+            }
+            use std::collections::VecDeque as Ring;
+        "#;
+        let pf = parse_file("crates/demo/src/lib.rs", src);
+        let seen: Vec<(&str, u32)> = pf.names.iter().map(|s| (s.name, s.line)).collect();
+        assert_eq!(
+            seen,
+            [("Instant::now", 6), (".unwrap()", 7), ("VecDeque", 9)]
+        );
+        assert!(pf.names[2].in_use);
+    }
+
+    #[test]
+    fn inner_attributes_are_recorded() {
+        let src = "//! Docs.\n#![cfg(not(feature = \"x\"))]\n#![deny(unsafe_op_in_unsafe_fn)]\nfn f() {}\n";
+        let pf = parse_file("crates/demo/src/lib.rs", src);
+        assert_eq!(
+            pf.inner_attrs,
+            ["cfg(not(feature=\"\"))", "deny(unsafe_op_in_unsafe_fn)"]
+        );
+        assert_eq!(pf.fns.len(), 1);
+    }
+
+    #[test]
+    fn one_predicate_decides_test_files() {
+        for path in ["tests/x.rs", "benches/x.rs", "crates/a/tests/x.rs"] {
+            assert!(is_test_path(path), "{path} is test code");
+        }
+        for path in ["crates/a/src/x.rs", "benchmark/src/x.rs"] {
+            assert!(!is_test_path(path), "{path} is not test code");
+        }
+        assert!(parse_file("tests/chaos.rs", "fn f() {}").fns[0].is_test);
     }
 
     #[test]

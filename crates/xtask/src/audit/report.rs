@@ -37,11 +37,15 @@ const RULES: &[(&str, &str)] = &[
     ),
     (
         "A4",
-        "every Relaxed ordering site carries an `audit:ordering:` justification",
+        "Relaxed orderings only in the allowlisted files, each site with an `audit:ordering:` justification",
     ),
     (
         "A5",
-        "every unsafe site's SAFETY: comment names the invariant-owning type",
+        "unsafe only in the allowlisted files, each site with a SAFETY: comment (naming the invariant-owning type outside tests), under #![deny(unsafe_op_in_unsafe_fn)]",
+    ),
+    (
+        "A6",
+        "no wall-clock call in the virtual-time crates, no println!/.unwrap() in the hot-path modules, no HashMap/VecDeque/BTreeMap in the request plane",
     ),
 ];
 

@@ -1,13 +1,19 @@
-//! Audit rules A1–A5 over the call graph, plus the inline suppression
-//! mechanism.
+//! Audit rules A1–A6 over the call graph and the parsed files, plus the
+//! inline suppression mechanism.
 //!
 //! | rule | property | scope |
 //! |------|----------|-------|
 //! | A1 | no panic path (`unwrap`/`expect`/panic macros/indexing on non-exempt types) | reachable from roots |
 //! | A2 | no allocation outside pre-warmed arenas / `#[cold]` paths | reachable from roots |
 //! | A3 | no blocking call (`sleep`/`lock`/`wait`) outside the idle-backoff ladder | reachable from roots |
-//! | A4 | every `Ordering::Relaxed` site (however spelled) carries `// audit:ordering: why` | whole workspace, non-test |
-//! | A5 | every `unsafe` site's `SAFETY:` comment names the invariant-owning type | whole workspace, non-test |
+//! | A4 | `Relaxed` (however spelled) only in [`RELAXED_ALLOW`], each site with `// audit:ordering: why` | whole workspace, non-test |
+//! | A5 | `unsafe` only in [`UNSAFE_ALLOW`], each site with a `SAFETY:` comment; its crate root (or test file) denies `unsafe_op_in_unsafe_fn` | whole workspace, test code included |
+//! | A5 | … and that comment names the invariant-owning type | whole workspace, non-test |
+//! | A6 | no name from an [`A6`] row inside that row's scope | per row, non-test |
+//!
+//! Scope lists hold workspace-relative paths: an entry ending in `/` is
+//! a directory and matches every file below it; any other entry matches
+//! exactly one file.
 //!
 //! Suppression: `// audit:allow(A1): reason` on the offending line or up
 //! to [`SUPPRESS_WINDOW`] lines above it. The reason is mandatory, and a
@@ -15,14 +21,95 @@
 //! allowances cannot outlive the code they excused.
 
 use super::graph::Graph;
-use super::parser::ParsedFile;
+use super::parser::{ParsedFile, Site};
 
 /// Lines below a marker comment that it still covers (same line counts).
 pub const SUPPRESS_WINDOW: u32 = 3;
 
-/// Lines above an `unsafe` site searched for its `SAFETY:` comment
-/// (mirrors the R1 lint walk).
+/// Lines above an `unsafe` site searched for its `SAFETY:` comment.
 const SAFETY_WINDOW: u32 = 6;
+
+/// Files allowed to contain `unsafe` (A5): the two rings, the model
+/// checker's cell shim, and the allocation-counting and litmus tests.
+pub const UNSAFE_ALLOW: &[&str] = &[
+    "crates/net/src/spsc.rs",
+    "crates/net/src/mpsc.rs",
+    "crates/check/src/sync/cell.rs",
+    "crates/telemetry/tests/no_alloc.rs",
+    "crates/core/tests/no_alloc_dispatch.rs",
+    "crates/check/tests/litmus.rs",
+    "crates/check/tests/mutation.rs",
+];
+
+/// Files allowed to use `Relaxed` in non-test code (A4). Each use still
+/// needs its own `audit:ordering:` argument.
+pub const RELAXED_ALLOW: &[&str] = &[
+    "crates/net/src/spsc.rs",
+    "crates/net/src/mpsc.rs",
+    // udp.rs: per-socket datagram counters are independent monotone
+    // event counts; no cross-thread control flow reads them.
+    "crates/net/src/udp.rs",
+    "crates/telemetry/src/ring.rs",
+    "crates/telemetry/src/counters.rs",
+    "crates/telemetry/src/hist.rs",
+    "crates/telemetry/src/snapshot.rs",
+];
+
+/// Inner attributes that opt a crate (or a test file) into unsafe-fn
+/// hygiene (A5).
+const UNSAFE_FN_ATTRS: &[&str] = &["deny(unsafe_op_in_unsafe_fn)", "forbid(unsafe_code)"];
+
+/// One A6 row: `names` may not appear in non-test code of files in
+/// `scope`. Names are Rust snippets matched token for token.
+pub struct Forbidden {
+    pub names: &'static [&'static str],
+    pub scope: &'static [&'static str],
+    pub why: &'static str,
+}
+
+/// The A6 table: names each module family has ruled out.
+pub const A6: &[Forbidden] = &[
+    Forbidden {
+        names: &["Instant::now", "thread::sleep"],
+        scope: &["crates/core/src/", "crates/sim/src/"],
+        why: "wall-clock call in a virtual-time crate (core and sim run on simulated ns)",
+    },
+    Forbidden {
+        names: &["println!", ".unwrap()"],
+        scope: &[
+            "crates/runtime/src/dispatcher.rs",
+            "crates/runtime/src/worker.rs",
+            "crates/net/src/spsc.rs",
+            "crates/net/src/mpsc.rs",
+            "crates/net/src/nic.rs",
+            "crates/net/src/udp.rs",
+        ],
+        why: "in a hot-path module (stdout lock in the loop; use `.expect(\"reason\")` or handle)",
+    },
+    Forbidden {
+        names: &["HashMap", "VecDeque", "BTreeMap"],
+        scope: &[
+            "crates/core/src/queue.rs",
+            "crates/core/src/arena.rs",
+            "crates/core/src/dispatch/",
+            "crates/runtime/src/dispatcher.rs",
+            "crates/runtime/src/worker.rs",
+        ],
+        why: "in a request-plane module; use dense type-indexed arrays or the arena ring",
+    },
+];
+
+/// True when `path` is one of `scope`'s files or lies under one of its
+/// directories (entries ending in `/`).
+pub fn in_scope(path: &str, scope: &[&str]) -> bool {
+    scope.iter().any(|s| {
+        if s.ends_with('/') {
+            path.starts_with(s)
+        } else {
+            path == *s
+        }
+    })
+}
 
 /// Types whose *internal* indexing is exempt from A1: their dense arrays
 /// are sized at construction (`num_types` × `num_workers` slots, arena
@@ -151,6 +238,32 @@ fn has_ordering_marker(file: &ParsedFile, line: u32) -> bool {
     })
 }
 
+/// True when `file` opts into unsafe-fn hygiene itself or, for non-test
+/// files, through its crate root: the `lib.rs` (else `main.rs`) beside
+/// the nearest enclosing `src/` directory.
+fn unsafe_fn_denied(file: &ParsedFile, files: &[ParsedFile]) -> bool {
+    let denies = |f: &ParsedFile| {
+        f.inner_attrs
+            .iter()
+            .any(|a| UNSAFE_FN_ATTRS.contains(&a.as_str()))
+    };
+    if denies(file) {
+        return true;
+    }
+    if file.file_is_test {
+        return false;
+    }
+    let dirs: Vec<&str> = file.path.split('/').collect();
+    let Some(src) = dirs[..dirs.len() - 1].iter().rposition(|d| *d == "src") else {
+        return false;
+    };
+    let src_dir = dirs[..=src].join("/");
+    ["lib.rs", "main.rs"]
+        .iter()
+        .find_map(|root| files.iter().find(|f| f.path == format!("{src_dir}/{root}")))
+        .is_some_and(denies)
+}
+
 /// Extracts CamelCase words (at least one lowercase after an uppercase
 /// start) from a comment — candidate type names.
 fn camel_words(text: &str) -> Vec<&str> {
@@ -201,70 +314,58 @@ pub fn run(graph: &Graph<'_>, workspace_types: &[String]) -> RuleOutcome {
             continue;
         }
         let via = graph.via(id);
-        for s in &it.facts.panics {
-            findings.push(Finding {
-                rule: "A1".into(),
-                file: file.path.clone(),
-                line: s.line,
-                what: format!("panic path: {}", s.what),
-                via: via.clone(),
-            });
-        }
         let index_exempt = it
             .self_ty
             .as_deref()
             .is_some_and(|t| INDEX_EXEMPT_TYPES.contains(&t));
-        if !index_exempt {
-            for s in &it.facts.indexing {
+        let indexing: &[Site] = if index_exempt {
+            &[]
+        } else {
+            &it.facts.indexing
+        };
+        let checks = [
+            ("A1", "panic path", &it.facts.panics[..]),
+            ("A1", "unchecked indexing on", indexing),
+            ("A2", "allocation", &it.facts.allocs[..]),
+            ("A3", "blocking call", &it.facts.blocking[..]),
+        ];
+        for (rule, label, sites) in checks {
+            for s in sites {
                 findings.push(Finding {
-                    rule: "A1".into(),
+                    rule: rule.into(),
                     file: file.path.clone(),
                     line: s.line,
-                    what: format!("unchecked indexing on `{}`", s.what),
+                    what: format!("{label} `{}`", s.what),
                     via: via.clone(),
                 });
             }
         }
-        for s in &it.facts.allocs {
-            findings.push(Finding {
-                rule: "A2".into(),
-                file: file.path.clone(),
-                line: s.line,
-                what: format!("allocation: {}", s.what),
-                via: via.clone(),
-            });
-        }
-        for s in &it.facts.blocking {
-            findings.push(Finding {
-                rule: "A3".into(),
-                file: file.path.clone(),
-                line: s.line,
-                what: format!("blocking call: {}", s.what),
-                via: via.clone(),
-            });
-        }
     }
 
-    // --- File-scope rules: A4 / A5 --------------------------------------
+    // --- File-scope rules: A4 / A5 / A6 ---------------------------------
     for f in graph.files {
-        for &(line, in_test) in &f.relaxed_sites {
-            if in_test || f.file_is_test {
-                continue;
-            }
-            if !has_ordering_marker(f, line) {
-                findings.push(Finding {
-                    rule: "A4".into(),
-                    file: f.path.clone(),
-                    line,
-                    what: "Relaxed ordering without `// audit:ordering: why` justification".into(),
-                    via: String::new(),
-                });
+        let mut flag = |rule: &str, line: u32, what: &str| {
+            findings.push(Finding {
+                rule: rule.into(),
+                file: f.path.clone(),
+                line,
+                what: what.into(),
+                via: String::new(),
+            })
+        };
+        for s in f.sites("Relaxed").filter(|s| !s.in_test && !s.in_use) {
+            if !in_scope(&f.path, RELAXED_ALLOW) {
+                flag("A4", s.line, "Relaxed outside the allowlisted files");
+            } else if !has_ordering_marker(f, s.line) {
+                flag("A4", s.line, "Relaxed without `// audit:ordering: why`");
             }
         }
-        for &(line, in_test) in &f.unsafe_sites {
-            if in_test || f.file_is_test {
+        for s in f.sites("unsafe") {
+            if !in_scope(&f.path, UNSAFE_ALLOW) {
+                flag("A5", s.line, "unsafe outside the allowlisted files");
                 continue;
             }
+            let line = s.line;
             let nearby: String = f
                 .comments
                 .iter()
@@ -275,28 +376,29 @@ pub fn run(graph: &Graph<'_>, workspace_types: &[String]) -> RuleOutcome {
                 .collect::<Vec<_>>()
                 .join("\n");
             if !nearby.contains("SAFETY") {
-                // R1 already fails this; A5 restates it so the audit is
-                // self-contained.
-                findings.push(Finding {
-                    rule: "A5".into(),
-                    file: f.path.clone(),
-                    line,
-                    what: "unsafe without a SAFETY: comment".into(),
-                    via: String::new(),
-                });
+                flag("A5", line, "unsafe without a SAFETY: comment");
                 continue;
             }
             let names_type = camel_words(&nearby)
                 .iter()
                 .any(|w| workspace_types.iter().any(|t| t == w) || STD_INVARIANT_TYPES.contains(w));
-            if !names_type {
-                findings.push(Finding {
-                    rule: "A5".into(),
-                    file: f.path.clone(),
-                    line,
-                    what: "SAFETY: comment does not name the invariant-owning type".into(),
-                    via: String::new(),
-                });
+            if !names_type && !s.in_test {
+                flag("A5", line, "SAFETY: comment names no invariant-owning type");
+            }
+        }
+        let first_unsafe = f.sites("unsafe").next();
+        if let Some(s) = first_unsafe.filter(|_| !unsafe_fn_denied(f, graph.files)) {
+            flag(
+                "A5",
+                s.line,
+                "unsafe without #![deny(unsafe_op_in_unsafe_fn)]",
+            );
+        }
+        for row in A6.iter().filter(|row| in_scope(&f.path, row.scope)) {
+            for &name in row.names {
+                for s in f.sites(name).filter(|s| !s.in_test) {
+                    flag("A6", s.line, &format!("`{name}` {}", row.why));
+                }
             }
         }
     }
@@ -361,7 +463,11 @@ mod tests {
     use crate::audit::parser::parse_file;
 
     fn audit(src: &str) -> RuleOutcome {
-        let files = vec![parse_file("crates/demo/src/lib.rs", src)];
+        audit_at("crates/demo/src/lib.rs", src)
+    }
+
+    fn audit_at(path: &str, src: &str) -> RuleOutcome {
+        let files = vec![parse_file(path, src)];
         let types: Vec<String> = files.iter().flat_map(|f| f.types.clone()).collect();
         let g = build(
             &files,
@@ -405,11 +511,18 @@ mod tests {
         assert_eq!(rules_of(&o), ["A3"]);
     }
 
+    const RELAXED_OK: &str = "crates/telemetry/src/counters.rs";
+    const UNSAFE_OK: &str = "crates/net/src/spsc.rs";
+
     #[test]
     fn a4_fires_without_marker_and_not_with() {
-        let bad = audit("fn f(c: &AtomicU64) { c.load(std::sync::atomic::Ordering::Relaxed); }");
+        let bad = audit_at(
+            RELAXED_OK,
+            "fn f(c: &AtomicU64) { c.load(std::sync::atomic::Ordering::Relaxed); }",
+        );
         assert_eq!(rules_of(&bad), ["A4"]);
-        let good = audit(
+        let good = audit_at(
+            RELAXED_OK,
             "fn f(c: &AtomicU64) {\n    // audit:ordering: monotonic counter, no cross-thread edge\n    c.load(std::sync::atomic::Ordering::Relaxed);\n}",
         );
         assert!(good.findings.is_empty(), "{:?}", good.findings);
@@ -417,7 +530,8 @@ mod tests {
 
     #[test]
     fn a4_catches_aliased_relaxed() {
-        let o = audit(
+        let o = audit_at(
+            RELAXED_OK,
             "use std::sync::atomic::Ordering as O;\nfn f(c: &AtomicU64) { c.load(O::Relaxed); }",
         );
         assert_eq!(rules_of(&o), ["A4"]);
@@ -425,14 +539,26 @@ mod tests {
 
     #[test]
     fn a5_requires_type_name_in_safety() {
-        let bad = audit(
-            "struct Ring;\n// SAFETY: this is fine\nfn f(p: *const u8) { unsafe { p.read() }; }",
+        let bad = audit_at(
+            UNSAFE_OK,
+            "#![deny(unsafe_op_in_unsafe_fn)]\nstruct Ring;\n// SAFETY: this is fine\nfn f(p: *const u8) { unsafe { p.read() }; }",
         );
         assert_eq!(rules_of(&bad), ["A5"]);
-        let good = audit(
-            "struct Ring;\n// SAFETY: Ring guarantees the slot is initialized before publish\nfn f(p: *const u8) { unsafe { p.read() }; }",
+        let good = audit_at(
+            UNSAFE_OK,
+            "#![deny(unsafe_op_in_unsafe_fn)]\nstruct Ring;\n// SAFETY: Ring guarantees the slot is initialized before publish\nfn f(p: *const u8) { unsafe { p.read() }; }",
         );
         assert!(good.findings.is_empty(), "{:?}", good.findings);
+    }
+
+    #[test]
+    fn scopes_match_files_and_directory_prefixes_only() {
+        let scope = ["crates/core/src/dispatch/", "crates/net/src/udp.rs"];
+        assert!(in_scope("crates/core/src/dispatch/darc.rs", &scope));
+        assert!(in_scope("crates/net/src/udp.rs", &scope));
+        assert!(!in_scope("crates/net/src/udp.rs.bak", &scope));
+        assert!(!in_scope("benchmark/crates/net/src/udp.rs", &scope));
+        assert!(!in_scope("crates/core/src/dispatch.rs", &scope));
     }
 
     #[test]
@@ -473,10 +599,20 @@ mod tests {
     }
 
     #[test]
-    fn test_code_is_exempt_from_file_scope_rules() {
-        let o = audit(
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(c: &AtomicU64) { c.load(std::sync::atomic::Ordering::Relaxed); unsafe { x() }; }\n}",
+    fn test_code_is_exempt_from_style_rules_but_not_from_unsafe_hygiene() {
+        let o = audit_at(
+            "crates/runtime/src/worker.rs",
+            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t(c: &AtomicU64) { c.load(std::sync::atomic::Ordering::Relaxed); x.unwrap(); }\n}",
         );
         assert!(o.findings.is_empty(), "{:?}", o.findings);
+        let test_mod = |safety: &str| {
+            format!("#![deny(unsafe_op_in_unsafe_fn)]\n#[cfg(test)]\nmod tests {{\n    {safety}\n    fn t() {{ unsafe {{ x() }}; }}\n}}")
+        };
+        let vague = audit_at(UNSAFE_OK, &test_mod("// SAFETY: x has no preconditions"));
+        assert!(vague.findings.is_empty(), "{:?}", vague.findings);
+        let missing = audit_at(UNSAFE_OK, &test_mod(""));
+        assert_eq!(rules_of(&missing), ["A5"]);
+        let outside = audit(&test_mod("// SAFETY: x has no preconditions"));
+        assert_eq!(rules_of(&outside), ["A5"]);
     }
 }

@@ -1,18 +1,14 @@
-//! Workspace task runner. Two tasks:
+//! Workspace task runner. One task, the static checker:
 //!
 //! ```text
-//! cargo xtask lint  [workspace-root]
-//! cargo xtask audit [--json] [--write-baseline] [workspace-root]
+//! cargo xtask audit [--json] [--write-baseline] [--dump FILE] [workspace-root]
 //! ```
 //!
-//! `lint` runs the per-line invariant linter (rules R1–R6); `audit` runs
-//! the interprocedural call-graph audit (rules A1–A5) and checks the
-//! rendered report against the committed `AUDIT.json` baseline. Both
-//! exit non-zero if any rule fires. See [`lint`] and [`audit`] for the
-//! rule catalogues.
+//! `audit` runs the call-graph audit (rules A1–A6) and checks the
+//! rendered report against the committed `AUDIT.json` baseline. It exits
+//! non-zero if any rule fires. See [`audit`] for the rule catalogue.
 
 mod audit;
-mod lint;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -29,23 +25,6 @@ fn workspace_root() -> PathBuf {
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
     match args.next().as_deref() {
-        Some("lint") => {
-            let root = args
-                .next()
-                .map(PathBuf::from)
-                .unwrap_or_else(workspace_root);
-            let violations = lint::run(&root);
-            if violations.is_empty() {
-                eprintln!("xtask lint: clean ({})", root.display());
-                ExitCode::SUCCESS
-            } else {
-                for v in &violations {
-                    eprintln!("{v}");
-                }
-                eprintln!("xtask lint: {} violation(s)", violations.len());
-                ExitCode::FAILURE
-            }
-        }
         Some("audit") => {
             let mut print_json = false;
             let mut write_baseline = false;
@@ -73,7 +52,7 @@ fn main() -> ExitCode {
         }
         other => {
             eprintln!(
-                "usage: cargo xtask <lint|audit> [--json] [--write-baseline] [workspace-root]{}",
+                "usage: cargo xtask audit [--json] [--write-baseline] [--dump FILE] [workspace-root]{}",
                 other
                     .map(|o| format!(" (unknown task {o:?})"))
                     .unwrap_or_default()
