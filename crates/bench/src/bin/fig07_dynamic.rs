@@ -174,9 +174,10 @@ fn main() {
     cmp.print("Figure 7 — paper vs measured");
 
     // The engine's own telemetry view of the same run. Note the event-ring
-    // accounting: millions of per-request cycle-steal events overwrite the
-    // bounded ring, and the overwritten count says exactly how many were
-    // lost — the reservation trajectory itself is in the log above.
+    // accounting: the steal counters are exact, the ring logs 1 in 64 of
+    // them per type, and those samples still overwrite the bounded ring —
+    // the overwritten count says exactly how many were lost. The
+    // reservation trajectory itself is in the log above.
     let snap = telemetry.snapshot();
     println!("\nDARC engine telemetry snapshot (simulated time):");
     print!("{}", snap.to_text());

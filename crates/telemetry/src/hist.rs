@@ -11,13 +11,15 @@
 //!
 //! * [`LogHist`] — single-owner (`&mut self`), exact mean and max; the
 //!   simulator's per-type recorder.
-//! * [`AtomicHist`] — shared (`&self`), [`AtomicHist::record`] is exactly
-//!   one relaxed atomic add; the runtime's hot-path instrument. Mean and
-//!   max are reconstructed from the buckets, within bucket precision.
+//! * [`AtomicHist`] — one writer, any readers (`&self`);
+//!   [`AtomicHist::record`] is a plain load and store of one bucket; the
+//!   runtime's hot-path instrument. Mean and max are reconstructed from
+//!   the buckets, within bucket precision.
 //!
 //! Both produce a [`HistSnapshot`]: a frozen, mergeable copy answering
 //! percentile queries.
 
+use crate::counters::bump;
 use crate::sync::{AtomicU64, Ordering};
 
 /// Default sub-bucket precision: `2^-7 ≈ 0.8 %` relative error.
@@ -164,10 +166,12 @@ impl LogHist {
     }
 }
 
-/// A shared, lock-free histogram: [`AtomicHist::record`] is exactly one
-/// relaxed `fetch_add` on the target bucket — no locks, no allocation, no
-/// other shared writes — so it can sit on a nanosecond-scale hot path and
-/// be hammered from any number of threads.
+/// A lock-free histogram with one writer and any number of readers:
+/// [`AtomicHist::record`] is a plain load and store of the target bucket
+/// — no `lock`-prefixed RMW, no allocation, no other shared writes — so
+/// it can sit on a nanosecond-scale hot path while another thread
+/// snapshots it. Two threads must not record into the same histogram:
+/// their increments could be lost.
 #[derive(Debug)]
 pub struct AtomicHist {
     counts: Box<[AtomicU64]>,
@@ -191,13 +195,10 @@ impl AtomicHist {
         }
     }
 
-    /// Records one value: a single relaxed atomic add.
+    /// Records one value: a single-writer increment of one bucket.
     #[inline]
     pub fn record(&self, value: u64) {
-        let i = index(self.precision_bits, value);
-        // audit:ordering: independent bucket increment — the histogram
-        // publishes no data through its counters
-        self.counts[i].fetch_add(1, Ordering::Relaxed);
+        bump(&self.counts[index(self.precision_bits, value)], 1);
     }
 
     /// Number of recorded values (sum over buckets; monotone but not a
@@ -541,27 +542,43 @@ mod tests {
         assert_eq!(left, from_empty);
     }
 
+    /// The recording contract: one writer, any readers. A reader that
+    /// snapshots while the writer records never sees a bucket (or the
+    /// total) go backwards, and the count is exact once the writer is
+    /// joined.
     #[test]
-    fn concurrent_recording_conserves_totals() {
+    fn single_writer_is_monotone_to_a_concurrent_reader() {
+        use std::sync::atomic::AtomicBool;
         use std::sync::Arc;
-        const THREADS: u64 = 4;
-        const PER: u64 = 50_000;
+        const N: u64 = 200_000;
         let h = Arc::new(AtomicHist::new(7));
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let h = h.clone();
-                std::thread::spawn(move || {
-                    let mut rng = Mix(t);
-                    for _ in 0..PER {
-                        h.record(1 + rng.below(1 << 30));
-                    }
-                })
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (h, done) = (h.clone(), done.clone());
+            std::thread::spawn(move || {
+                let mut rng = Mix(3);
+                for _ in 0..N {
+                    h.record(1 + rng.below(1 << 20));
+                }
+                done.store(true, std::sync::atomic::Ordering::Release);
             })
-            .collect();
-        for j in handles {
-            j.join().unwrap();
+        };
+        let mut prev = h.snapshot();
+        let mut reads = 0u32;
+        while !done.load(std::sync::atomic::Ordering::Acquire) || reads == 0 {
+            let s = h.snapshot();
+            assert!(s.count() >= prev.count(), "total went backwards");
+            for (i, (now, before)) in s.counts.iter().zip(&prev.counts).enumerate() {
+                assert!(
+                    now >= before,
+                    "bucket {i} went backwards: {before} -> {now}"
+                );
+            }
+            prev = s;
+            reads += 1;
         }
-        assert_eq!(h.count(), THREADS * PER);
-        assert_eq!(h.snapshot().count(), THREADS * PER);
+        writer.join().unwrap();
+        assert_eq!(h.count(), N);
+        assert_eq!(h.snapshot().count(), N);
     }
 }

@@ -7,12 +7,14 @@
 //!
 //! * [`hist::LogHist`] / [`hist::AtomicHist`] — log-bucketed HDR-style
 //!   latency histograms (~2 significant digits). `record()` on the
-//!   atomic variant is exactly one relaxed `fetch_add`.
+//!   atomic variant is one single-writer load and store.
 //! * [`counters::TypeCounters`] / [`counters::WorkerCounters`] — counter
-//!   sets in [`CachePadded`] slots, one relaxed RMW per increment.
+//!   sets in [`CachePadded`] slots, one single-writer load and store per
+//!   increment.
 //! * [`ring::EventRing`] — a bounded seqlock ring of scheduler decisions
-//!   (reservation updates with old→new core maps, cycle-steals, spillway
-//!   hits, drops); overwrites are detectable via sequence numbers.
+//!   (reservation updates with old→new core maps, drops, and a 1-in-64
+//!   sample of cycle-steals and spillway hits); overwrites are
+//!   detectable via sequence numbers.
 //! * [`Telemetry`] / [`Snapshot`] — the registry that bundles the above
 //!   and freezes into mergeable snapshots with plain-text and JSON-lines
 //!   exporters.
@@ -23,13 +25,18 @@
 //!
 //! ## Hot-path cost budget
 //!
+//! Each cell has one writing thread (the table is in [`snapshot`]), so
+//! an increment needs no `lock`-prefixed RMW:
+//!
 //! | call | cost |
 //! |---|---|
-//! | `AtomicHist::record` | 1 relaxed `fetch_add` |
-//! | counter increment | 1 relaxed `fetch_add` / `fetch_max` |
-//! | `EventRing::push` | 1 relaxed `fetch_add` + 10 relaxed/release stores |
+//! | `AtomicHist::record` | 1 relaxed load + 1 relaxed store (single-writer `bump`) |
+//! | counter increment | 1 relaxed load + 1 relaxed store (`bump`); the HWM stores only when it rises |
+//! | steal / spillway event | 1 in 64 per type pays an `EventRing::push` |
+//! | `EventRing::push` | 1 relaxed `fetch_add` + 1 CAS + 9 relaxed/release stores |
 //!
-//! No `record_*` path allocates, locks, or spins.
+//! Only `rx_malformed`, written by the dispatcher and the workers, keeps
+//! a `fetch_add`. No `record_*` path allocates, locks, or spins.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -3,9 +3,23 @@
 //! `Telemetry` bundles every instrument the scheduler hot path touches —
 //! per-type sojourn/service histograms, per-type and per-worker counter
 //! slots, and the scheduler-event ring — behind `&self` methods that are
-//! all lock-free and allocation-free (each is a handful of relaxed
-//! atomics). It is built once at engine construction and shared via
-//! `Arc` between the dispatcher, the workers, and whoever reports.
+//! all lock-free and allocation-free. It is built once per dispatcher
+//! shard and shared via `Arc` between that shard's dispatcher, its
+//! workers, and whoever reports.
+//!
+//! Every cell has one writing thread, so recording is plain loads and
+//! stores, not `lock`-prefixed RMWs:
+//!
+//! | writer | cells |
+//! |---|---|
+//! | the shard's dispatcher (through the engine) | type counters, both histograms, worker `dispatches` / `steals` / `completions` / `quarantines`, the event ring |
+//! | worker *w* | its own `busy_ns` and `tx_give_ups` |
+//! | the dispatcher **and** the workers | `rx_malformed` — the one `fetch_add` |
+//!
+//! Steals and spillway placements are DARC's normal case, so they are
+//! counted exactly but logged to the ring only 1 in 64 per type; the
+//! rare decisions (reservation updates, drops, expiries, quarantines)
+//! are always logged.
 //!
 //! [`Telemetry::snapshot`] freezes everything into a [`Snapshot`]:
 //! plain owned data that can be merged across shards, queried for
@@ -13,10 +27,17 @@
 
 use std::fmt::Write as _;
 
-use crate::counters::{TypeCounters, TypeCountersSnap, WorkerCounters, WorkerCountersSnap};
+use crate::counters::{bump, TypeCounters, TypeCountersSnap, WorkerCounters, WorkerCountersSnap};
 use crate::hist::{AtomicHist, HistSnapshot, DEFAULT_PRECISION_BITS};
 use crate::padded::CachePadded;
 use crate::ring::{EventLog, EventRing, SchedEvent, MAX_MAP_TYPES};
+use crate::sync::{AtomicU64, Ordering};
+
+/// Each type's steals (and, separately, spillway hits) are logged to the
+/// event ring when the type's exact counter reaches 1, 65, 129, …: the
+/// first always shows, and the ring keeps room for the decisions that
+/// explain something.
+const STEAL_EVENT_EVERY: u64 = 64;
 
 /// How a request reached its worker — determines which counters a
 /// dispatch bumps and whether an event is recorded.
@@ -58,7 +79,8 @@ impl TelemetryConfig {
 }
 
 /// The shared instrument registry. All `record_*` methods take `&self`,
-/// never lock, and never allocate.
+/// never lock, and never allocate; each cell they touch has one writing
+/// thread (see the module docs).
 #[derive(Debug)]
 pub struct Telemetry {
     /// Per-type sojourn (queueing + service) histograms; slot
@@ -73,7 +95,7 @@ pub struct Telemetry {
     /// Packets that failed wire validation (truncated, bad magic, wrong
     /// kind) on the RX path — server-wide, not per type, because a
     /// malformed packet has no trustworthy type field to attribute.
-    rx_malformed: core::sync::atomic::AtomicU64,
+    rx_malformed: AtomicU64,
 }
 
 impl Telemetry {
@@ -96,7 +118,7 @@ impl Telemetry {
                 .collect(),
             events: EventRing::new(cfg.ring_capacity.next_power_of_two().max(2)),
             num_types: cfg.num_types,
-            rx_malformed: core::sync::atomic::AtomicU64::new(0),
+            rx_malformed: AtomicU64::new(0),
         }
     }
 
@@ -115,15 +137,16 @@ impl Telemetry {
         ty.min(self.num_types)
     }
 
+    #[inline]
+    fn worker(&self, worker: usize) -> &WorkerCounters {
+        &self.worker_counters[worker.min(self.worker_counters.len() - 1)]
+    }
+
     /// A request of type `ty` was classified and enqueued. Pass
     /// `ty >= num_types` for UNKNOWN.
     #[inline]
     pub fn record_arrival(&self, ty: usize) {
-        use core::sync::atomic::Ordering;
-        self.type_counters[self.ty_slot(ty)]
-            .arrivals
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.type_counters[self.ty_slot(ty)].arrivals, 1);
     }
 
     /// Observed queue depth for `ty` (keeps the high-water mark).
@@ -133,40 +156,36 @@ impl Telemetry {
     }
 
     /// A request of type `ty` was placed on `worker` via `kind`.
-    /// Steals and spillway placements also log a ring event.
+    /// Steals and spillway placements are counted exactly; each type's
+    /// 1st, 65th, 129th, … of each also logs a ring event.
     #[inline]
     pub fn record_dispatch(&self, ty: usize, worker: usize, kind: DispatchKind, now_ns: u64) {
-        use core::sync::atomic::Ordering;
         let t = &self.type_counters[self.ty_slot(ty)];
-        let w = &self.worker_counters[worker.min(self.worker_counters.len() - 1)];
+        let w = self.worker(worker);
         match kind {
             DispatchKind::Reserved | DispatchKind::Fcfs => {
-                // audit:ordering: independent statistics counter — no data is published through it
-                t.dispatches.fetch_add(1, Ordering::Relaxed);
-                // audit:ordering: independent statistics counter — no data is published through it
-                w.dispatches.fetch_add(1, Ordering::Relaxed);
+                bump(&t.dispatches, 1);
+                bump(&w.dispatches, 1);
             }
             DispatchKind::Stolen => {
-                // audit:ordering: independent statistics counter — no data is published through it
-                t.steals.fetch_add(1, Ordering::Relaxed);
-                // audit:ordering: independent statistics counter — no data is published through it
-                w.steals.fetch_add(1, Ordering::Relaxed);
-                self.events.push(&SchedEvent::CycleSteal {
-                    now_ns,
-                    type_id: ty as u32,
-                    worker: worker as u32,
-                });
+                bump(&w.steals, 1);
+                if bump(&t.steals, 1) % STEAL_EVENT_EVERY == 1 {
+                    self.events.push(&SchedEvent::CycleSteal {
+                        now_ns,
+                        type_id: ty as u32,
+                        worker: worker as u32,
+                    });
+                }
             }
             DispatchKind::Spillway => {
-                // audit:ordering: independent statistics counter — no data is published through it
-                t.spillway_hits.fetch_add(1, Ordering::Relaxed);
-                // audit:ordering: independent statistics counter — no data is published through it
-                w.steals.fetch_add(1, Ordering::Relaxed);
-                self.events.push(&SchedEvent::SpillwayHit {
-                    now_ns,
-                    type_id: ty as u32,
-                    worker: worker as u32,
-                });
+                bump(&w.steals, 1);
+                if bump(&t.spillway_hits, 1) % STEAL_EVENT_EVERY == 1 {
+                    self.events.push(&SchedEvent::SpillwayHit {
+                        now_ns,
+                        type_id: ty as u32,
+                        worker: worker as u32,
+                    });
+                }
             }
         }
     }
@@ -175,39 +194,25 @@ impl Telemetry {
     /// (queueing + service) and service time.
     #[inline]
     pub fn record_completion(&self, ty: usize, worker: usize, sojourn_ns: u64, service_ns: u64) {
-        use core::sync::atomic::Ordering;
         let slot = self.ty_slot(ty);
         self.sojourn[slot].record(sojourn_ns);
         self.service[slot].record(service_ns);
-        self.type_counters[slot]
-            .completions
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
-        self.worker_counters[worker.min(self.worker_counters.len() - 1)]
-            .completions
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.type_counters[slot].completions, 1);
+        bump(&self.worker(worker).completions, 1);
     }
 
     /// `worker` spent `busy_ns` executing a handler — recorded by the
-    /// worker thread itself on its completion path.
+    /// worker thread itself on its completion path (the cell's one
+    /// writer).
     #[inline]
     pub fn record_worker_busy(&self, worker: usize, busy_ns: u64) {
-        use core::sync::atomic::Ordering;
-        self.worker_counters[worker.min(self.worker_counters.len() - 1)]
-            .busy_ns
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(busy_ns, Ordering::Relaxed);
+        bump(&self.worker(worker).busy_ns, busy_ns);
     }
 
     /// A request of type `ty` was rejected by flow control.
     #[inline]
     pub fn record_drop(&self, ty: usize, queue_depth: u64, now_ns: u64) {
-        use core::sync::atomic::Ordering;
-        self.type_counters[self.ty_slot(ty)]
-            .drops
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.type_counters[self.ty_slot(ty)].drops, 1);
         self.events.push(&SchedEvent::Drop {
             now_ns,
             type_id: ty as u32,
@@ -219,11 +224,7 @@ impl Telemetry {
     /// waiting `waited_ns` and was shed before dispatch.
     #[inline]
     pub fn record_expired(&self, ty: usize, waited_ns: u64, now_ns: u64) {
-        use core::sync::atomic::Ordering;
-        self.type_counters[self.ty_slot(ty)]
-            .expired
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.type_counters[self.ty_slot(ty)].expired, 1);
         self.events.push(&SchedEvent::DeadlineExpired {
             now_ns,
             type_id: ty as u32,
@@ -235,11 +236,7 @@ impl Telemetry {
     /// been running for `running_ns`, far past the type's profiled mean.
     #[inline]
     pub fn record_quarantine(&self, worker: usize, ty: usize, running_ns: u64, now_ns: u64) {
-        use core::sync::atomic::Ordering;
-        self.worker_counters[worker.min(self.worker_counters.len() - 1)]
-            .quarantines
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.worker(worker).quarantines, 1);
         self.events.push(&SchedEvent::WorkerQuarantine {
             now_ns,
             worker: worker as u32,
@@ -260,14 +257,11 @@ impl Telemetry {
     }
 
     /// `worker` abandoned a transmission after exhausting its bounded
-    /// send retries (the receiver's queue stayed full).
+    /// send retries (the receiver's queue stayed full) — recorded by the
+    /// worker thread itself (the cell's one writer).
     #[inline]
     pub fn record_tx_give_up(&self, worker: usize) {
-        use core::sync::atomic::Ordering;
-        self.worker_counters[worker.min(self.worker_counters.len() - 1)]
-            .tx_give_ups
-            // audit:ordering: independent statistics counter — no data is published through it
-            .fetch_add(1, Ordering::Relaxed);
+        bump(&self.worker(worker).tx_give_ups, 1);
     }
 
     /// A packet failed wire validation on the RX path (truncated
@@ -275,8 +269,8 @@ impl Telemetry {
     /// `BadRequest` instead of being scheduled.
     #[inline]
     pub fn record_rx_malformed(&self) {
-        use core::sync::atomic::Ordering;
         // audit:ordering: independent statistics counter — no data is published through it
+        // audit:allow(A6): written by the dispatcher and by workers
         self.rx_malformed.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -326,7 +320,7 @@ impl Telemetry {
             rx_malformed: self
                 .rx_malformed
                 // audit:ordering: independent statistics counter — no data is published through it
-                .load(core::sync::atomic::Ordering::Relaxed),
+                .load(Ordering::Relaxed),
         }
     }
 }
@@ -466,6 +460,9 @@ impl Snapshot {
         if self.rx_malformed > 0 {
             let _ = writeln!(out, "rx_malformed: {}", self.rx_malformed);
         }
+        // Kept events per kind. Steals and spillway hits reach the ring
+        // 1 in 64 per type, so theirs are samples; the exact totals are
+        // the table's `steal` / `spill` columns.
         let per_kind = |label: &str, pred: fn(&SchedEvent) -> bool| {
             let n = self.events.events.iter().filter(|(_, e)| pred(e)).count();
             format!("{label}={n}")
@@ -476,8 +473,14 @@ impl Snapshot {
             self.events.pushed,
             self.events.events.len(),
             self.events.overwritten,
-            per_kind("steals", |e| matches!(e, SchedEvent::CycleSteal { .. })),
-            per_kind("spillway", |e| matches!(e, SchedEvent::SpillwayHit { .. })),
+            per_kind("steal_samples", |e| matches!(
+                e,
+                SchedEvent::CycleSteal { .. }
+            )),
+            per_kind("spillway_samples", |e| matches!(
+                e,
+                SchedEvent::SpillwayHit { .. }
+            )),
             per_kind("drops", |e| matches!(e, SchedEvent::Drop { .. })),
             per_kind("expired", |e| matches!(
                 e,
@@ -742,6 +745,35 @@ mod tests {
             .any(|(_, e)| matches!(e, SchedEvent::ReservationUpdate { update_id: 1, .. })));
     }
 
+    /// Steals are counted exactly but logged 1 in 64, so a burst of them
+    /// no longer flushes a reservation update out of a 1024-slot ring.
+    #[test]
+    fn steals_are_counted_exactly_and_logged_by_sample() {
+        let t = Telemetry::new(TelemetryConfig::new(1, 2));
+        t.record_reservation_update(0, 1, 250_000, &[1], &[2]);
+        for i in 0..10_000u64 {
+            t.record_dispatch(0, 1, DispatchKind::Stolen, i);
+        }
+        let s = t.snapshot();
+        assert_eq!(s.types[0].counters.steals, 10_000);
+        assert_eq!(s.workers[1].steals, 10_000);
+        assert_eq!(s.events.pushed, 1 + 10_000u64.div_ceil(STEAL_EVENT_EVERY));
+        assert_eq!(s.events.overwritten, 0);
+        assert!(matches!(
+            s.events.events[0],
+            (0, SchedEvent::ReservationUpdate { update_id: 1, .. })
+        ));
+        // The type's first steal is always logged, then every 64th.
+        assert!(matches!(
+            s.events.events[1],
+            (1, SchedEvent::CycleSteal { now_ns: 0, .. })
+        ));
+        assert!(matches!(
+            s.events.events[2],
+            (2, SchedEvent::CycleSteal { now_ns: 64, .. })
+        ));
+    }
+
     #[test]
     fn unknown_and_out_of_range_types_share_the_last_slot() {
         let t = Telemetry::new(TelemetryConfig::new(2, 1));
@@ -793,6 +825,9 @@ mod tests {
         assert!(text.contains("T0"));
         assert!(text.contains("reservation_update #1"));
         assert!(text.contains("overwritten=0"));
+        // Ten steals of type 0: the table carries the total, the event
+        // summary the one sample the ring kept.
+        assert!(text.contains("steal_samples=1 "));
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! `unsafe_op_in_unsafe_fn` (A5); and a table of names each module
 //! family has ruled out — wall-clock calls in the virtual-time crates,
 //! stdout and `.unwrap()` in hot-path modules, node-based containers in
-//! the request plane (A6).
+//! the request plane, `lock`-prefixed RMWs on the single-writer
+//! telemetry cells (A6).
 //!
 //! The pipeline: [`lexer`] → [`parser`] → [`graph`] → [`rules`] →
 //! [`report`] (`AUDIT.json` baseline). Everything is hand-rolled and
@@ -558,11 +559,12 @@ mod tests {
     }
 
     /// One injected violation (or a near miss) in a real workspace file.
-    /// `rule` names the property the case pins, by the id it had in the
-    /// former line lint (R1–R6; [`audit_rule`] maps it to the audit rule
-    /// that now checks it); `None` marks a negative case that must trip
-    /// nothing. An empty `anchor` appends `snippet` to the file;
-    /// otherwise the first `anchor` is replaced by it.
+    /// `rule` names the property the case pins — by the id it had in the
+    /// former line lint (R1–R6) or, for rows added since, by name;
+    /// [`audit_rule`] maps it to the audit rule that checks it. `None`
+    /// marks a negative case that must trip nothing. An empty `anchor`
+    /// appends `snippet` to the file; otherwise the first `anchor` is
+    /// replaced by it.
     struct Case {
         rule: Option<&'static str>,
         file: &'static str,
@@ -652,6 +654,20 @@ mod tests {
             anchor: "",
             snippet: "\npub type ZzProbe = std::collections::BTreeMap<u8, u8>;\n",
         },
+        // Single-writer telemetry: a `lock`-prefixed RMW on a cell that
+        // only its owner thread writes, in either spelling.
+        Case {
+            rule: Some("single-writer"),
+            file: "crates/telemetry/src/hist.rs",
+            anchor: "",
+            snippet: "\npub fn zz_probe(c: &AtomicU64) {\n    // audit:ordering: probe counter, nothing depends on it\n    c.fetch_add(1, Ordering::Relaxed);\n}\n",
+        },
+        Case {
+            rule: Some("single-writer"),
+            file: "crates/telemetry/src/counters.rs",
+            anchor: "",
+            snippet: "\npub fn zz_probe(c: &AtomicU64) {\n    // audit:ordering: probe high-water mark, nothing depends on it\n    c.fetch_max(1, Ordering::Relaxed);\n}\n",
+        },
         // Negatives: a string literal, a doc comment, and test code.
         Case {
             rule: None,
@@ -688,7 +704,7 @@ mod tests {
         match rule {
             "R1-confine" | "R1-safety" | "R5-unsafe-fn" => "A5",
             "R2-relaxed" => "A4",
-            "R3-virtual-time" | "R4-hotpath" | "R6-dense" => "A6",
+            "R3-virtual-time" | "R4-hotpath" | "R6-dense" | "single-writer" => "A6",
             other => panic!("unmapped rule {other}"),
         }
     }
@@ -721,6 +737,14 @@ mod tests {
         for name in ROOT_FNS {
             assert!(fns.contains(name), "ROOT_FNS: no fn `{name}`");
         }
+        // The single-writer row's remedy.
+        assert!(
+            files
+                .iter()
+                .any(|f| f.path == "crates/telemetry/src/counters.rs"
+                    && f.fns.iter().any(|it| it.name == "bump" && !it.is_test)),
+            "A6: the single-writer row names `counters::bump`, which is gone"
+        );
         let types: Vec<&str> = files
             .iter()
             .flat_map(|f| f.types.iter().map(String::as_str))

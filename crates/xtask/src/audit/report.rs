@@ -45,7 +45,7 @@ const RULES: &[(&str, &str)] = &[
     ),
     (
         "A6",
-        "no wall-clock call in the virtual-time crates, no println!/.unwrap() in the hot-path modules, no HashMap/VecDeque/BTreeMap in the request plane",
+        "no wall-clock call in the virtual-time crates, no println!/.unwrap() in the hot-path modules, no HashMap/VecDeque/BTreeMap in the request plane, no fetch_add/fetch_max on the single-writer telemetry cells",
     ),
 ];
 

@@ -97,6 +97,15 @@ pub const A6: &[Forbidden] = &[
         ],
         why: "in a request-plane module; use dense type-indexed arrays or the arena ring",
     },
+    Forbidden {
+        names: &["fetch_add", "fetch_max"],
+        scope: &[
+            "crates/telemetry/src/snapshot.rs",
+            "crates/telemetry/src/counters.rs",
+            "crates/telemetry/src/hist.rs",
+        ],
+        why: "on a single-writer telemetry cell (a `lock`-prefixed RMW on the dispatch path); use `counters::bump`",
+    },
 ];
 
 /// True when `path` is one of `scope`'s files or lies under one of its
