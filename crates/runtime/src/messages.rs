@@ -39,6 +39,26 @@ pub struct Completion {
 mod tests {
     use super::*;
 
+    /// The request plane's per-request records, pinned at their current
+    /// sizes on 64-bit targets: a layout change (and the cache traffic it
+    /// moves) must update this pin on purpose.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn request_plane_layouts_are_pinned() {
+        use std::mem::size_of;
+        let sizes = [
+            size_of::<PacketBuf>(),
+            size_of::<crate::dispatcher::Pending>(),
+            size_of::<WorkMsg>(),
+            size_of::<Completion>(),
+        ];
+        assert_eq!(
+            sizes,
+            [56, 64, 72, 8],
+            "PacketBuf, Pending, WorkMsg, Completion"
+        );
+    }
+
     #[test]
     fn work_messages_traverse_spsc_rings() {
         let (mut tx, mut rx) = persephone_net::spsc::channel::<WorkMsg>(4);
