@@ -29,8 +29,8 @@ use persephone_net::wire;
 use persephone_runtime::handler::SpinHandler;
 use persephone_runtime::loadgen::{run_open_loop, LoadSpec, LoadType};
 use persephone_runtime::server::{ServerBuilder, Transport};
+use persephone_runtime::spin::SpinCalibration;
 use persephone_sim::report::Table;
-use persephone_store::spin::SpinCalibration;
 
 fn main() {
     let opts = BenchOpts::from_args();

@@ -132,7 +132,7 @@ type HandlerFactory = Box<dyn Fn(usize) -> Box<dyn RequestHandler>>;
 /// use persephone_net::wire;
 /// use persephone_runtime::handler::SpinHandler;
 /// use persephone_runtime::server::ServerBuilder;
-/// use persephone_store::spin::SpinCalibration;
+/// use persephone_runtime::spin::SpinCalibration;
 ///
 /// let cal = SpinCalibration::calibrate();
 /// let (handle, bound) = ServerBuilder::new(4, 2)

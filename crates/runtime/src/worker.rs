@@ -183,10 +183,10 @@ pub fn run_worker(
 mod tests {
     use super::*;
     use crate::handler::SpinHandler;
+    use crate::spin::SpinCalibration;
     use persephone_core::types::TypeId;
     use persephone_net::nic;
     use persephone_net::pool::PacketBuf;
-    use persephone_store::spin::SpinCalibration;
 
     fn request_packet(ty: u32, id: u64, payload: &[u8]) -> PacketBuf {
         let mut buf = PacketBuf::with_capacity(256);

@@ -20,8 +20,8 @@ use persephone_runtime::fault::FaultPlan;
 use persephone_runtime::handler::{PayloadSleepHandler, PayloadSpinHandler, RequestHandler};
 use persephone_runtime::loadgen::{run_scheduled, ScheduledRequest};
 use persephone_runtime::server::{ServerBuilder, Transport};
+use persephone_runtime::spin::SpinCalibration;
 use persephone_sim::workload::Arrival;
-use persephone_store::spin::SpinCalibration;
 
 use persephone_core::time::Nanos;
 
