@@ -29,12 +29,9 @@ pub const BOUNDARY_METHODS: &[&str] = &["handle", "classify", "report", "merged"
 /// * `check` — the model checker itself; its `Core`/`Execution` shims are
 ///   lock-based test infrastructure sharing method names (`load`,
 ///   `store`, `lock`) with the production atomics.
-/// * `store` — the application workload (the paper's KV store). It runs
-///   behind the `handle` boundary: its cost IS the measured service
-///   time, not dispatch machinery.
 /// * `sim` — the virtual-time experiment driver; it hosts the engines
 ///   but its own loop is not the wall-clock hot path.
-pub const EXCLUDED_CRATES: &[&str] = &["check", "store", "sim"];
+pub const EXCLUDED_CRATES: &[&str] = &["check", "sim"];
 
 /// Trait methods that are *not* rooted: they run once at wiring or
 /// teardown (`set_telemetry` before the loop starts, `Select::build` and
@@ -371,8 +368,8 @@ mod tests {
             "crates/demo/src/lib.rs",
             r#"
             pub fn run_worker(h: &dyn Handler) { h.handle(1); }
-            impl KvHandler { fn handle(&self, x: u32) { self.app_alloc(); } }
-            impl KvHandler { fn app_alloc(&self) {} }
+            impl AppHandler { fn handle(&self, x: u32) { self.app_alloc(); } }
+            impl AppHandler { fn app_alloc(&self) {} }
             "#,
         )]);
         let g = build(&files, &["run_worker"], &[], &[], &BTreeMap::new());
