@@ -51,8 +51,8 @@ pub struct Darc {
     updates: u64,
     /// Demand vector at the last install, for the update-trigger Δ.
     last_demands: Vec<f64>,
-    /// Pre-warmed scratch for the per-completion staleness check, so the
-    /// hot path folds the live demand vector without allocating.
+    /// Pre-warmed scratch for the per-completion update check, so the hot
+    /// path folds the live demand vector once and without allocating.
     demand_scratch: Vec<f64>,
 }
 
@@ -122,11 +122,14 @@ impl Select for Darc {
                 // demand deviates from the *current allocation* — either
                 // the demand vector moved, or rounding the live demand
                 // would grant different core counts than installed.
-                if core.profiler.window_full()
-                    && core.profiler.delay_signalled()
-                    && (core.profiler.demand_deviated() || self.allocation_stale(core))
-                {
-                    self.commit_and_install(core, now);
+                if core.profiler.window_full() && core.profiler.delay_signalled() {
+                    // Fold the live demand vector once; both tests read it.
+                    core.profiler.demands_into(&mut self.demand_scratch);
+                    if core.profiler.deviates(&self.demand_scratch)
+                        || self.allocation_stale(core.workers.len())
+                    {
+                        self.commit_and_install(core, now);
+                    }
                 }
             }
             Phase::Frozen => {}
@@ -150,13 +153,13 @@ impl Darc {
         }
     }
 
-    /// Whether recomputing Algorithm 2 on the live window would grant any
-    /// group a different number of reserved cores than it currently holds,
-    /// or an ungrouped (previously vanished) type now carries real demand.
-    fn allocation_stale<R>(&mut self, core: &EngineCore<R>) -> bool {
-        core.profiler.demands_into(&mut self.demand_scratch);
+    /// Whether recomputing Algorithm 2 on the live demand vector (folded
+    /// into `demand_scratch`) would grant any group a different number of
+    /// reserved cores than it currently holds, or an ungrouped (previously
+    /// vanished) type now carries real demand.
+    fn allocation_stale(&self, workers: usize) -> bool {
         let demands = &self.demand_scratch;
-        let w = core.workers.len() as f64;
+        let w = workers as f64;
         for g in &self.reservation.groups {
             let d: f64 = g
                 .types

@@ -336,16 +336,20 @@ impl Profiler {
     /// Writes the demand vector of Eq. 1 into `out`. Allocation-free once
     /// `out`'s capacity covers the type set — the hot-path variant of
     /// [`Profiler::demands`] for callers that keep a scratch vector.
+    ///
+    /// Folds each type's weight once: writes the weights, sums them, then
+    /// divides in place.
     pub fn demands_into(&self, out: &mut Vec<f64>) {
         out.clear();
-        let n = self.types.len();
-        let total: f64 = (0..n).map(|i| self.live_weight_at(i)).sum();
+        out.extend((0..self.types.len()).map(|i| self.live_weight_at(i)));
+        let total: f64 = out.iter().sum();
         if total <= 0.0 {
-            // audit:allow(A2): fills a pre-warmed scratch; grows only on first use
-            out.resize(n, 0.0);
+            out.fill(0.0);
             return;
         }
-        out.extend((0..n).map(|i| self.live_weight_at(i) / total));
+        for d in out.iter_mut() {
+            *d /= total;
+        }
     }
 
     /// Checks whether a reservation update should fire (paper §4.3.3):
@@ -374,6 +378,16 @@ impl Profiler {
             } else {
                 0.0
             };
+            let snap = self.snapshot_demand.get(i).copied().unwrap_or(0.0);
+            (d - snap).abs() > self.cfg.demand_deviation
+        })
+    }
+
+    /// [`Profiler::demand_deviated`] for a caller that already holds the
+    /// live demand vector from [`Profiler::demands_into`], so the vector
+    /// is folded once for every check that reads it.
+    pub(crate) fn deviates(&self, demands: &[f64]) -> bool {
+        demands.iter().enumerate().any(|(i, d)| {
             let snap = self.snapshot_demand.get(i).copied().unwrap_or(0.0);
             (d - snap).abs() > self.cfg.demand_deviation
         })
@@ -588,6 +602,64 @@ mod tests {
             q.record_completion(TypeId::new(1), Nanos::from_micros(1));
         }
         assert!(q.demand_deviated());
+    }
+
+    /// DARC's update check folds the demand vector once with
+    /// `demands_into` and tests it with `deviates`. Over random profiler
+    /// states both must match their references bit for bit:
+    /// `demands_of(&estimates())` and `demand_deviated()`.
+    #[test]
+    fn folded_update_check_matches_references() {
+        let mut rng = crate::rng::Rng::new(0x5eed);
+        let mut folded = Vec::new();
+        let (mut deviated, mut held) = (0u32, 0u32);
+        for _ in 0..5_000 {
+            let n = 1 + rng.next_below(6) as usize;
+            let hints: Vec<Option<Nanos>> = (0..n)
+                .map(|_| {
+                    (rng.next_below(3) == 0).then(|| Nanos::from_nanos(rng.next_below(500_000)))
+                })
+                .collect();
+            let c = ProfilerConfig {
+                min_samples: 1,
+                demand_deviation: rng.next_f64() * 0.3,
+                ewma_weight: rng.next_f64(),
+                ..Default::default()
+            };
+            let mut p = Profiler::new(c, n, &hints);
+            for _ in 0..rng.next_below(4) {
+                for _ in 0..rng.next_below(40) {
+                    // One past the last type: out-of-range ids are ignored.
+                    let ty = TypeId::new(rng.next_below(n as u64 + 1) as u32);
+                    if rng.next_below(3) == 0 {
+                        p.record_arrival(ty);
+                    } else {
+                        p.record_completion(ty, Nanos::from_nanos(rng.next_below(1_000_000)));
+                    }
+                }
+                if rng.next_below(2) == 0 {
+                    p.commit_window_quiet();
+                }
+            }
+            p.demands_into(&mut folded);
+            let reference = demands_of(&p.estimates());
+            assert_eq!(
+                folded.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                reference.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),
+                "demands_into must equal Eq. 1 over estimates()"
+            );
+            let got = p.deviates(&folded);
+            assert_eq!(got, p.demand_deviated());
+            if got {
+                deviated += 1;
+            } else {
+                held += 1;
+            }
+        }
+        assert!(
+            deviated > 500 && held > 500,
+            "random states must exercise both outcomes: {deviated} deviated, {held} held"
+        );
     }
 
     #[test]

@@ -1,10 +1,11 @@
-//! Fixed-size packet buffer pool with per-thread caches (paper §4.3.1).
+//! Fixed-size packet buffer pool with per-releaser caches (paper §4.3.1).
 //!
 //! Perséphone registers a statically allocated memory pool with the NIC.
 //! Receive-path allocation happens on the net worker (the pool's single
-//! consumer); application workers *release* buffers after transmission
-//! through a multi-producer ring, batching releases in a thread-local
-//! cache to reduce traffic to the shared ring.
+//! consumer), which pops every buffer straight off the shared free ring;
+//! application workers *release* buffers after transmission through that
+//! multi-producer ring, batching releases in a per-thread cache to reduce
+//! traffic to it. Only releasers cache.
 
 use crate::mpsc;
 
@@ -114,7 +115,6 @@ impl PacketBuf {
 pub struct PoolAllocator {
     free: mpsc::Receiver<PacketBuf>,
     sender: mpsc::Sender<PacketBuf>,
-    cache: Vec<PacketBuf>,
     buf_size: usize,
     total: usize,
 }
@@ -162,7 +162,6 @@ impl BufferPool {
         PoolAllocator {
             free: rx,
             sender: tx,
-            cache: Vec::new(),
             buf_size,
             total: count,
         }
@@ -170,13 +169,11 @@ impl BufferPool {
 }
 
 impl PoolAllocator {
-    /// Takes a free buffer, or `None` when the pool is exhausted (the
+    /// Pops a free buffer off the shared free ring (the allocator keeps
+    /// no cache of its own), or `None` when the pool is exhausted (the
     /// caller should backpressure, e.g. leave packets in the NIC queue).
+    /// Buffers a releaser still holds in its cache are not yet free.
     pub fn alloc(&mut self) -> Option<PacketBuf> {
-        if let Some(mut b) = self.cache.pop() {
-            b.clear();
-            return Some(b);
-        }
         self.free.pop().map(|mut b| {
             b.clear();
             b

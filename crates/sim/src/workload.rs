@@ -277,14 +277,24 @@ impl BurstModel {
     }
 }
 
+/// Everything [`ArrivalGen::next`] reads from one phase, built once at
+/// construction so that drawing an arrival touches no allocator.
+#[derive(Clone, Debug)]
+struct PhasePlan {
+    /// Absolute end time of the phase.
+    end: Nanos,
+    /// Mean interarrival gap (ns) at the phase's offered load.
+    mean_gap_ns: f64,
+    /// Per-type ratios: the weights of the type draw (may hold zeros).
+    ratios: Vec<f64>,
+    /// Per-type service-time distributions.
+    services: Vec<Dist>,
+}
+
 /// An open-loop Poisson arrival sampler over a (possibly phased) workload.
 #[derive(Clone, Debug)]
 pub struct ArrivalGen {
-    phases: Vec<Phase>,
-    /// Precomputed mean interarrival (ns) per phase.
-    interarrival_ns: Vec<f64>,
-    /// Phase end times (absolute).
-    phase_ends: Vec<Nanos>,
+    plans: Vec<PhasePlan>,
     current: usize,
     rng_arrival: Rng,
     rng_type: Rng,
@@ -335,20 +345,24 @@ impl ArrivalGen {
     /// Panics if any phase's load is not positive.
     pub fn phased(pw: &PhasedWorkload, workers: usize, seed: u64) -> Self {
         let mut root = Rng::new(seed);
-        let mut ends = Vec::new();
-        let mut acc = Nanos::ZERO;
-        let mut inter = Vec::new();
-        for p in &pw.phases {
-            assert!(p.load > 0.0, "phase load must be positive");
-            acc += p.duration;
-            ends.push(acc);
-            let rate = p.workload.peak_rate(workers) * p.load; // req/s
-            inter.push(1e9 / rate);
-        }
+        let mut end = Nanos::ZERO;
+        let plans = pw
+            .phases
+            .iter()
+            .map(|p| {
+                assert!(p.load > 0.0, "phase load must be positive");
+                end += p.duration;
+                let rate = p.workload.peak_rate(workers) * p.load; // req/s
+                PhasePlan {
+                    end,
+                    mean_gap_ns: 1e9 / rate,
+                    ratios: p.workload.ratios(),
+                    services: p.workload.types.iter().map(|t| t.service).collect(),
+                }
+            })
+            .collect();
         let mut gen = ArrivalGen {
-            phases: pw.phases.clone(),
-            interarrival_ns: inter,
-            phase_ends: ends,
+            plans,
             current: 0,
             rng_arrival: root.fork(),
             rng_type: root.fork(),
@@ -360,7 +374,7 @@ impl ArrivalGen {
             state_until: Nanos::ZERO,
         };
         // First arrival after one sampled gap from t = 0.
-        let gap = gen.rng_arrival.next_exp(gen.interarrival_ns[0]);
+        let gap = gen.rng_arrival.next_exp(gen.plans[0].mean_gap_ns);
         gen.next_at = Nanos::from_nanos(gap as u64);
         gen
     }
@@ -419,25 +433,21 @@ impl ArrivalGen {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Option<Arrival> {
         // Advance phases until the pending arrival time falls inside one.
-        while self.next_at >= self.phase_ends[self.current] {
-            if self.current + 1 >= self.phases.len() {
+        while self.next_at >= self.plans[self.current].end {
+            if self.current + 1 >= self.plans.len() {
                 return None;
             }
             self.current += 1;
         }
-        let phase = &self.phases[self.current];
+        let plan = &self.plans[self.current];
         let at = self.next_at;
         // Sample a type with positive ratio (ratios may be 0 in a phase).
-        let weights: Vec<f64> = phase.workload.types.iter().map(|t| t.ratio).collect();
-        let ti = self.rng_type.pick_weighted(&weights);
-        let service = phase.workload.types[ti]
-            .service
-            .sample(&mut self.rng_service);
+        let ti = self.rng_type.pick_weighted(&plan.ratios);
+        let service = plan.services[ti].sample(&mut self.rng_service);
+        let mean_gap_ns = plan.mean_gap_ns;
         // Schedule the next arrival (burst modulation scales the rate).
         let mult = self.rate_multiplier(at);
-        let gap = self
-            .rng_arrival
-            .next_exp(self.interarrival_ns[self.current] / mult);
+        let gap = self.rng_arrival.next_exp(mean_gap_ns / mult);
         self.next_at = at.saturating_add(Nanos::from_nanos(gap.max(1.0) as u64));
         Some(Arrival {
             at,

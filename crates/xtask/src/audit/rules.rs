@@ -37,6 +37,7 @@ pub const UNSAFE_ALLOW: &[&str] = &[
     "crates/check/src/sync/cell.rs",
     "crates/telemetry/tests/no_alloc.rs",
     "crates/core/tests/no_alloc_dispatch.rs",
+    "crates/sim/tests/no_alloc_arrivals.rs",
     "crates/check/tests/litmus.rs",
     "crates/check/tests/mutation.rs",
 ];
